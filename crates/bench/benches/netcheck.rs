@@ -1,7 +1,7 @@
 //! Criterion: static-verification passes — channel-dependency-graph
 //! deadlock analysis, the full `check` report (CDG + routing lints), and
-//! the windowed contention checker that replaced the conservative
-//! interval approximation.
+//! the windowed contention checker (occupancy replay plus the window scan
+//! that schedule-set certification shares).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flitsim::SimConfig;

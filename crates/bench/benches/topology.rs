@@ -1,9 +1,9 @@
-//! Criterion: topology primitives — path computation, chain sorting and the
-//! static contention checker, the inner loops of schedule analysis.
+//! Criterion: topology primitives — path computation and chain sorting,
+//! the inner loops of schedule construction.  (The windowed contention
+//! checker is timed in `benches/netcheck.rs`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mtree::Schedule;
-use optmc::{check_schedule, experiments::random_placement, Algorithm};
+use optmc::experiments::random_placement;
 use std::hint::black_box;
 use topo::{Bmin, Chain, Mesh, NodeId, Topology, UpPolicy};
 
@@ -30,25 +30,5 @@ fn bench_chain_sort(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_contention_check(c: &mut Criterion) {
-    let mesh = Mesh::new(&[16, 16]);
-    let mut g = c.benchmark_group("contention_check_mesh");
-    for k in [32usize, 128] {
-        let parts = random_placement(256, k, 11);
-        let chain = Algorithm::OptArch.chain(&mesh, &parts, parts[0]);
-        let splits = Algorithm::OptArch.splits(250, 1000, k);
-        let sched = Schedule::build(k, chain.src_pos(), &splits, 250, 1000);
-        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| check_schedule(&mesh, black_box(&chain), black_box(&sched)));
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_det_path,
-    bench_chain_sort,
-    bench_contention_check
-);
+criterion_group!(benches, bench_det_path, bench_chain_sort);
 criterion_main!(benches);

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use flitsim::SimConfig;
 use mtree::{dot, MulticastTree, Schedule, SplitStrategy};
 use optmc::experiments::{random_placement, run_trials};
-use optmc::{check_schedule, check_schedule_windowed, measure, OccupancyParams, RunOptions};
+use optmc::{check_schedule_windowed, measure, OccupancyParams, RunOptions};
 use pcm::Time;
 
 use crate::args::Args;
@@ -87,11 +87,11 @@ fn cmd_tree(a: &Args) -> Result<String, CliError> {
 
 /// `optmc check` — static verification with structured diagnostics:
 /// channel-dependency-graph deadlock analysis and routing lints always;
-/// with `--alg`, schedule contention certification (windowed occupancy by
-/// default, `--conservative` for the interval approximation) plus the
-/// differential oracle against the instrumented simulator; with `--set`,
-/// certification of a whole workload-style schedule *set* with a plan
-/// certificate.  Exits nonzero when any error-level finding exists.
+/// with `--alg`, windowed-occupancy contention certification of the
+/// schedule plus the differential oracle against the instrumented
+/// simulator; with `--set`, certification of a whole workload-style
+/// schedule *set* with a plan certificate.  Exits nonzero when any
+/// error-level finding exists.
 fn cmd_check(a: &Args) -> Result<String, CliError> {
     use netcheck::{Diagnostic, Severity};
 
@@ -144,139 +144,101 @@ fn cmd_check(a: &Args) -> Result<String, CliError> {
             topo.name()
         );
 
-        if a.has("conservative") {
-            // Legacy interval approximation: sound for the mesh, but
-            // over-approximates worm lifetimes (it can flag BMIN schedules
-            // the engine runs clean), so no simulator agreement is demanded.
-            let conflicts = check_schedule(topo.as_ref(), &chain, &schedule);
-            if conflicts.is_empty() {
-                report.push(Diagnostic::new(
-                    Severity::Info,
-                    "NC0202",
-                    format!(
-                        "conservative interval analysis: no two concurrently-live sends \
-                         share a channel ({} sends)",
-                        schedule.sends.len()
-                    ),
-                ));
-            } else {
-                let c = conflicts[0];
-                report.push(
-                    Diagnostic::new(
-                        Severity::Error,
-                        "NC0201",
-                        format!(
-                            "conservative interval analysis finds {} conflicting send pairs \
-                             (may over-approximate; the windowed default is exact)",
-                            conflicts.len()
-                        ),
-                    )
-                    .with_nodes(vec![
-                        chain.node(schedule.sends[c.send_a].from),
-                        chain.node(schedule.sends[c.send_a].to),
-                        chain.node(schedule.sends[c.send_b].from),
-                        chain.node(schedule.sends[c.send_b].to),
-                    ])
-                    .with_channels(vec![c.channel]),
-                );
-            }
+        let params = OccupancyParams::from_config(&cfg, bytes);
+        let conflicts = check_schedule_windowed(topo.as_ref(), &chain, &schedule, &params)
+            .map_err(|e| err(format!("cannot materialise schedule paths: {e}")))?;
+        if conflicts.is_empty() {
+            report.push(Diagnostic::new(
+                Severity::Info,
+                "NC0202",
+                format!(
+                    "windowed occupancy analysis certifies the schedule contention-free \
+                     ({} sends, deterministic routing)",
+                    schedule.sends.len()
+                ),
+            ));
         } else {
-            let params = OccupancyParams::from_config(&cfg, bytes);
-            let conflicts = check_schedule_windowed(topo.as_ref(), &chain, &schedule, &params)
-                .map_err(|e| err(format!("cannot materialise schedule paths: {e}")))?;
-            if conflicts.is_empty() {
-                report.push(Diagnostic::new(
-                    Severity::Info,
-                    "NC0202",
+            let c = conflicts[0];
+            report.push(
+                Diagnostic::new(
+                    Severity::Error,
+                    "NC0201",
                     format!(
-                        "windowed occupancy analysis certifies the schedule contention-free \
-                         ({} sends, deterministic routing)",
-                        schedule.sends.len()
+                        "windowed occupancy analysis finds {} conflicting \
+                         (send pair, channel) overlaps; first overlap spans cycles {}..{}",
+                        conflicts.len(),
+                        c.from,
+                        c.until
                     ),
-                ));
-            } else {
-                let c = conflicts[0];
-                report.push(
-                    Diagnostic::new(
-                        Severity::Error,
-                        "NC0201",
-                        format!(
-                            "windowed occupancy analysis finds {} conflicting \
-                             (send pair, channel) overlaps; first overlap spans cycles {}..{}",
-                            conflicts.len(),
-                            c.from,
-                            c.until
-                        ),
-                    )
-                    .with_nodes(vec![
-                        chain.node(schedule.sends[c.send_a].from),
-                        chain.node(schedule.sends[c.send_a].to),
-                        chain.node(schedule.sends[c.send_b].from),
-                        chain.node(schedule.sends[c.send_b].to),
-                    ])
-                    .with_channels(vec![c.channel]),
-                );
-            }
-
-            // Differential leg: the instrumented simulator must agree with
-            // the static verdict, and the run must uphold every engine
-            // invariant.
-            let (validator, handle) = netcheck::Validator::new(topo.graph());
-            let out = optmc::run_multicast_observed(
-                topo.as_ref(),
-                &cfg,
-                alg,
-                &parts,
-                src,
-                bytes,
-                &RunOptions::default(),
-                Some(validator.into_sink()),
+                )
+                .with_nodes(vec![
+                    chain.node(schedule.sends[c.send_a].from),
+                    chain.node(schedule.sends[c.send_a].to),
+                    chain.node(schedule.sends[c.send_b].from),
+                    chain.node(schedule.sends[c.send_b].to),
+                ])
+                .with_channels(vec![c.channel]),
             );
-            let blocked = out.sim.blocked_cycles;
-            let validation = handle.summary();
-            if !validation.ok() {
-                report.push(
-                    Diagnostic::new(
-                        Severity::Error,
-                        "NC0301",
-                        format!(
-                            "simulator run violated {} engine invariant(s); first: {}",
-                            validation.n_violations.max(validation.outstanding),
-                            validation
-                                .violations
-                                .first()
-                                .map_or("channels left held at finish", String::as_str)
-                        ),
-                    )
-                    .with_help("this is a simulator bug, not a schedule property"),
-                );
-            }
-            if conflicts.is_empty() == (blocked == 0) {
-                report.push(Diagnostic::new(
-                    Severity::Info,
-                    "NC0203",
+        }
+
+        // Differential leg: the instrumented simulator must agree with
+        // the static verdict, and the run must uphold every engine
+        // invariant.
+        let (validator, handle) = netcheck::Validator::new(topo.graph());
+        let out = optmc::run_multicast_observed(
+            topo.as_ref(),
+            &cfg,
+            alg,
+            &parts,
+            src,
+            bytes,
+            &RunOptions::default(),
+            Some(validator.into_sink()),
+        );
+        let blocked = out.sim.blocked_cycles;
+        let validation = handle.summary();
+        if !validation.ok() {
+            report.push(
+                Diagnostic::new(
+                    Severity::Error,
+                    "NC0301",
                     format!(
-                        "differential oracle agrees: {} static conflicts vs {} blocked cycles \
-                         in the simulator",
+                        "simulator run violated {} engine invariant(s); first: {}",
+                        validation.n_violations.max(validation.outstanding),
+                        validation
+                            .violations
+                            .first()
+                            .map_or("channels left held at finish", String::as_str)
+                    ),
+                )
+                .with_help("this is a simulator bug, not a schedule property"),
+            );
+        }
+        if conflicts.is_empty() == (blocked == 0) {
+            report.push(Diagnostic::new(
+                Severity::Info,
+                "NC0203",
+                format!(
+                    "differential oracle agrees: {} static conflicts vs {} blocked cycles \
+                     in the simulator",
+                    conflicts.len(),
+                    blocked
+                ),
+            ));
+        } else {
+            report.push(
+                Diagnostic::new(
+                    Severity::Error,
+                    "NC0302",
+                    format!(
+                        "static analysis and simulator disagree: {} conflicts predicted \
+                         but {} blocked cycles observed",
                         conflicts.len(),
                         blocked
                     ),
-                ));
-            } else {
-                report.push(
-                    Diagnostic::new(
-                        Severity::Error,
-                        "NC0302",
-                        format!(
-                            "static analysis and simulator disagree: {} conflicts predicted \
-                             but {} blocked cycles observed",
-                            conflicts.len(),
-                            blocked
-                        ),
-                    )
-                    .with_help("one of the windowed replay or the engine timing is wrong"),
-                );
-            }
+                )
+                .with_help("one of the windowed replay or the engine timing is wrong"),
+            );
         }
     }
 
@@ -390,7 +352,7 @@ fn cmd_check_set(
 
     // Differential leg: the joint simulation must agree with the static
     // verdict (strict biconditional for pairwise-independent members).
-    let case = netcheck::differential_set_case(topo, &cfg, &set);
+    let case = netcheck::differential_set_case(topo, &cfg, &set, &analysis);
     if case.agree {
         report.push(Diagnostic::new(
             Severity::Info,
@@ -518,8 +480,6 @@ fn cmd_run(a: &Args) -> Result<String, CliError> {
         return Ok(format!("{}\n", out.sim.fingerprint()));
     }
 
-    let chain = alg.chain(topo.as_ref(), &parts, parts[0]);
-    let static_conflicts = check_schedule(topo.as_ref(), &chain, &out.schedule).len();
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -542,11 +502,19 @@ fn cmd_run(a: &Args) -> Result<String, CliError> {
         "  blocked        {} cycles in {} episodes",
         out.sim.blocked_cycles, out.sim.blocked_events
     );
-    let _ = writeln!(
-        text,
-        "  static check   {} conflicting send pairs",
-        static_conflicts
-    );
+    // The windowed replay of the run's schedule.  It does not model the
+    // temporal scheduler's start delays, so temporal runs omit the line.
+    if !opts.temporal {
+        let chain = alg.chain(topo.as_ref(), &parts, parts[0]);
+        let params = OccupancyParams::from_config(&cfg, bytes);
+        let overlaps = check_schedule_windowed(topo.as_ref(), &chain, &out.schedule, &params)
+            .map_err(|e| err(format!("cannot materialise schedule paths: {e}")))?;
+        let _ = writeln!(
+            text,
+            "  static check   {} (send pair, channel) overlaps",
+            overlaps.len()
+        );
+    }
     if cfg.trace {
         if out.sim.truncated {
             let _ = writeln!(
@@ -873,7 +841,19 @@ mod tests {
     fn run_command_reports_contention_freedom() {
         let out = run("run --topo mesh:8x8 --alg opt-arch --nodes 12 --bytes 2048").unwrap();
         assert!(out.contains("blocked        0 cycles"), "{out}");
-        assert!(out.contains("static check   0 conflicting"), "{out}");
+        assert!(
+            out.contains("static check   0 (send pair, channel) overlaps"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn temporal_run_prints_no_static_line() {
+        // The windowed replay does not model the temporal start delays.
+        let out =
+            run("run --topo omega:32 --alg opt-tree --nodes 12 --bytes 1024 --temporal").unwrap();
+        assert!(out.contains("blocked        0 cycles"), "{out}");
+        assert!(!out.contains("static check"), "{out}");
     }
 
     #[test]
@@ -1154,14 +1134,6 @@ mod tests {
         // --disjoint needs k*count nodes available.
         assert!(run("check --topo mesh:4x4 --set --nodes 8 --count 3 --disjoint").is_err());
         assert!(run("check --topo mesh:4x4 --set --nodes 4 --gap 10 --mean-gap 5.0").is_err());
-    }
-
-    #[test]
-    fn check_conservative_mode_is_available() {
-        let out =
-            run("check --topo mesh:8x8 --alg opt-arch --nodes 16 --bytes 4096 --conservative")
-                .unwrap();
-        assert!(out.contains("conservative interval analysis"), "{out}");
     }
 
     #[test]

@@ -51,8 +51,7 @@ optmc — architecture-tuned optimal multicast (IPPS'97 reproduction)
 
 USAGE:
   optmc tree      --hold H --end E --k K [--dot] [--src POS]
-  optmc check     --topo SPEC [--alg ALG --nodes K --bytes B --seed S --src NODE]
-                  [--conservative] [--json]
+  optmc check     --topo SPEC [--alg ALG --nodes K --bytes B --seed S --src NODE] [--json]
   optmc check     --topo SPEC --set --nodes K [--alg ALG] [--count N] [--bytes B]
                   [--gap G | --mean-gap F] [--seed S] [--disjoint]
                   [--cert-out FILE] [--json]
@@ -103,12 +102,14 @@ CHECK:
   Static verification with rustc-style diagnostics: channel-dependency-graph
   deadlock analysis (Dally–Seitz) and routing lints (termination,
   minimality, discipline conformance) always; with --alg also contention
-  certification of that schedule (windowed occupancy analysis by default,
-  --conservative for the interval approximation) and a differential oracle
-  run asserting the simulator agrees with the static verdict.  --nodes
-  defaults to the whole machine.  Exits 1 on any error-level finding;
-  --json emits the report as JSON (diagnostics sorted for byte-stable
-  output).
+  certification of that schedule and a differential oracle run asserting
+  the simulator agrees with the static verdict.  The certification replays
+  the schedule under the engine's timing (deterministic routing) and
+  counts every (send pair, channel) overlap of the per-channel occupancy
+  windows — the same window scan --set runs, a single multicast being a
+  set of one.  --nodes defaults to the whole machine.  Exits 1 on any
+  error-level finding; --json emits the report as JSON (diagnostics sorted
+  for byte-stable output).
 
   --set certifies a whole schedule *set*: --count multicasts built by the
   same generator as 'optmc workload' (--disjoint carves node-disjoint

@@ -160,7 +160,7 @@ impl PlanCertificate {
             .iter()
             .flat_map(|m| {
                 m.windows.iter().map(|w| CertWindow {
-                    mcast: m.mcast,
+                    mcast: w.mcast,
                     send: w.send,
                     channel: w.channel.0,
                     acquire: w.acquire,

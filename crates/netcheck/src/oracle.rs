@@ -15,6 +15,10 @@
 //! blocked time*.  The configuration must be non-adaptive: the windowed
 //! replay materialises first-preference deterministic paths, and only then
 //! is it an exact model of what the engine will do.
+//!
+//! [`differential_set_case`] asks the same question of a whole schedule
+//! set: the caller's [`SetAnalysis`] (the same window scan, over every
+//! member's windows) against one joint simulation of the set.
 
 use flitsim::SimConfig;
 use mtree::Schedule;
@@ -25,7 +29,7 @@ use optmc::{
 use pcm::MsgSize;
 use topo::Topology;
 
-use crate::schedset::{analyze_set, ScheduleSet};
+use crate::schedset::{ScheduleSet, SetAnalysis};
 use crate::validate::{ValidationSummary, Validator};
 
 /// One differential comparison, with everything needed to reproduce it.
@@ -130,8 +134,10 @@ pub struct OracleSetCase {
     pub strict: bool,
 }
 
-/// Run one schedule-set differential case: analyze `set` statically, run
-/// the same specs jointly in the simulator, and compare.
+/// Run one schedule-set differential case: run `set` jointly in the
+/// simulator and compare with `analysis`, the caller's
+/// [`analyze_set`](crate::analyze_set) result for the same set under the
+/// same `cfg`.
 ///
 /// The contract depends on member independence:
 ///
@@ -144,14 +150,17 @@ pub struct OracleSetCase {
 ///   zero blocked cycles; otherwise any simulator outcome is consistent.
 ///
 /// # Panics
-/// If `cfg.adaptive` is set, or any member's routing fails to materialise.
+/// If `cfg.adaptive` is set (the analysis would not be exact).
 pub fn differential_set_case(
     topo: &dyn Topology,
     cfg: &SimConfig,
     set: &ScheduleSet,
+    analysis: &SetAnalysis,
 ) -> OracleSetCase {
-    let analysis = analyze_set(topo, cfg, set)
-        .expect("deterministic routing materialises every scheduled path");
+    assert!(
+        !cfg.adaptive,
+        "the differential oracle requires deterministic routing"
+    );
     let (_, sim) = run_concurrent(topo, cfg, set.algorithm, &set.specs);
     let strict = analysis.node_overlaps.is_empty();
     let certified_clean = analysis.is_clean();
@@ -177,6 +186,7 @@ pub fn differential_set_case(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedset::analyze_set;
     use optmc::McastSpec;
     use pcm::Time;
     use topo::Mesh;
@@ -185,6 +195,12 @@ mod tests {
         let mut cfg = SimConfig::paragon_like();
         cfg.adaptive = false;
         cfg
+    }
+
+    /// Analyze `set`, then run its differential case on that analysis.
+    fn set_case(topo: &dyn Topology, cfg: &SimConfig, set: &ScheduleSet) -> OracleSetCase {
+        let analysis = analyze_set(topo, cfg, set).unwrap();
+        differential_set_case(topo, cfg, set, &analysis)
     }
 
     #[test]
@@ -223,7 +239,7 @@ mod tests {
                 specs: disjoint_specs(256, 8, 3, 2_000_000, seed),
                 algorithm: Algorithm::OptArch,
             };
-            let case = differential_set_case(&m, &cfg, &set);
+            let case = set_case(&m, &cfg, &set);
             assert!(case.strict, "disjoint groups must be independent");
             assert!(case.agree, "{case:?}");
             if case.certified_clean {
@@ -246,7 +262,7 @@ mod tests {
                 specs: disjoint_specs(256, 24, 4, 0, seed),
                 algorithm: Algorithm::OptArch,
             };
-            let case = differential_set_case(&m, &cfg, &set);
+            let case = set_case(&m, &cfg, &set);
             assert!(case.strict);
             assert!(case.agree, "{case:?}");
             if !case.certified_clean {
@@ -288,7 +304,7 @@ mod tests {
             ],
             algorithm: Algorithm::OptArch,
         };
-        let case = differential_set_case(&m, &cfg, &set);
+        let case = set_case(&m, &cfg, &set);
         assert!(!case.strict);
         assert!(!case.certified_clean);
         assert!(case.node_overlaps > 0);

@@ -6,9 +6,12 @@
 //! multicasts at once (`optmc::run_concurrent`, `optmc workload`, campaign
 //! cells).  This module lifts the analysis to a whole [`ScheduleSet`]: each
 //! member's schedule is replayed under the engine's contention-free timing
-//! with every window shifted by the member's start offset, and the combined
-//! window population is scanned for overlaps — within a member *and*
-//! between members.
+//! with every window shifted by the member's start offset and tagged with
+//! the member's index, and the combined window population goes through the
+//! same scan as a lone schedule ([`optmc::scan_windows`]), which finds
+//! overlaps within a member *and* between members.  A single multicast is
+//! a set of one: its set analysis returns exactly the conflicts of
+//! `check_schedule_windowed`, in the same order.
 //!
 //! ## Soundness
 //!
@@ -27,9 +30,12 @@
 
 use flitsim::SimConfig;
 use mtree::Schedule;
-use optmc::{occupancy_windows, Algorithm, ChannelWindow, McastSpec, OccupancyParams};
+use optmc::{
+    occupancy_windows, scan_windows, Algorithm, ChannelWindow, McastSpec, OccupancyParams,
+    WindowConflict,
+};
 use pcm::Time;
-use topo::{ChannelId, NodeId, RoutingError, Topology};
+use topo::{NodeId, RoutingError, Topology};
 
 use crate::diag::{Diagnostic, Report, Severity};
 
@@ -48,45 +54,14 @@ pub struct ScheduleSet {
 /// by the member's start) and its activity envelope.
 #[derive(Debug, Clone)]
 pub struct MemberOccupancy {
-    /// Index into the set's `specs`.
-    pub mcast: usize,
-    /// Channel windows, times global.
+    /// Channel windows, times global, each tagged with the member's index
+    /// into the set's `specs`.
     pub windows: Vec<ChannelWindow>,
     /// First cycle the member occupies anything (its start offset).
     pub active_from: Time,
     /// Conservative end of the member's activity: last window release plus
     /// the receive software latency (exclusive).
     pub active_until: Time,
-}
-
-/// A window tagged with the member that owns it — the unit the
-/// cross-member scan works on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SetWindow {
-    /// Index of the owning member in the set's `specs`.
-    pub mcast: usize,
-    /// The member-local send index and channel occupancy (global times).
-    pub window: ChannelWindow,
-}
-
-/// Two sends — possibly of different members — whose occupancy windows on
-/// a shared channel intersect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SetConflict {
-    /// Member of the earlier-acquiring send.
-    pub mcast_a: usize,
-    /// Send index within member `mcast_a`'s schedule.
-    pub send_a: usize,
-    /// Member of the later-acquiring send.
-    pub mcast_b: usize,
-    /// Send index within member `mcast_b`'s schedule.
-    pub send_b: usize,
-    /// The contended channel.
-    pub channel: ChannelId,
-    /// Start of the overlap (global cycles).
-    pub from: Time,
-    /// End of the overlap (exclusive).
-    pub until: Time,
 }
 
 /// A pair of members that share nodes while both are active — the regime
@@ -107,19 +82,19 @@ pub struct SetAnalysis {
     /// Per-member replayed occupancy, index-aligned with the set's specs.
     pub members: Vec<MemberOccupancy>,
     /// All window overlaps, intra- and cross-member, in time order.
-    pub conflicts: Vec<SetConflict>,
+    pub conflicts: Vec<WindowConflict>,
     /// Member pairs sharing nodes while temporally overlapping.
     pub node_overlaps: Vec<NodeOverlap>,
 }
 
 impl SetAnalysis {
     /// Conflicts between two *different* members.
-    pub fn cross_conflicts(&self) -> impl Iterator<Item = &SetConflict> {
+    pub fn cross_conflicts(&self) -> impl Iterator<Item = &WindowConflict> {
         self.conflicts.iter().filter(|c| c.mcast_a != c.mcast_b)
     }
 
     /// Conflicts within a single member's schedule.
-    pub fn intra_conflicts(&self) -> impl Iterator<Item = &SetConflict> {
+    pub fn intra_conflicts(&self) -> impl Iterator<Item = &WindowConflict> {
         self.conflicts.iter().filter(|c| c.mcast_a == c.mcast_b)
     }
 
@@ -153,7 +128,8 @@ pub fn analyze_set(
     let mut members = Vec::with_capacity(set.specs.len());
     for (mcast, spec) in set.specs.iter().enumerate() {
         // Build the schedule exactly as `run_concurrent` does, then shift
-        // its windows into global time by the member's start offset.
+        // its windows into global time by the member's start offset and
+        // tag them with the member.
         let k = spec.participants.len();
         let hops = optmc::runner::nominal_hops(topo, &spec.participants, spec.src);
         let (hold, end) = cfg.effective_pair_ports(hops, spec.bytes, g.ports() as u64);
@@ -163,12 +139,12 @@ pub fn analyze_set(
         let params = OccupancyParams::from_config(cfg, spec.bytes);
         let mut windows = occupancy_windows(topo, &chain, &schedule, &params)?;
         for w in &mut windows {
+            w.mcast = mcast;
             w.acquire = w.acquire.saturating_add(spec.start);
             w.release = w.release.saturating_add(spec.start);
         }
         let last_release = windows.iter().map(|w| w.release).max().unwrap_or(0);
         members.push(MemberOccupancy {
-            mcast,
             windows,
             active_from: spec.start,
             // The final receiver still runs t_recv of software after its
@@ -178,66 +154,17 @@ pub fn analyze_set(
         });
     }
 
-    let tagged: Vec<SetWindow> = members
+    let all: Vec<ChannelWindow> = members
         .iter()
-        .flat_map(|m| {
-            m.windows.iter().map(|w| SetWindow {
-                mcast: m.mcast,
-                window: *w,
-            })
-        })
+        .flat_map(|m| m.windows.iter().copied())
         .collect();
-    let conflicts = scan_conflicts(&tagged);
+    let conflicts = scan_windows(&all);
     let node_overlaps = find_node_overlaps(&set.specs, &members);
     Ok(SetAnalysis {
         members,
         conflicts,
         node_overlaps,
     })
-}
-
-/// Find every pairwise overlap in a tagged window population: group by
-/// channel, then scan each group.  Windows are half-open `[acquire,
-/// release)`, so touching windows (`a.release == b.acquire`) do **not**
-/// conflict, and a zero-length window (`acquire == release`, which the
-/// replay never emits but the certificate verifier must tolerate) overlaps
-/// nothing.  Pure so the boundary semantics are testable in isolation.
-pub fn scan_conflicts(windows: &[SetWindow]) -> Vec<SetConflict> {
-    let mut sorted: Vec<SetWindow> = windows.to_vec();
-    sorted.sort_by_key(|t| (t.window.channel.0, t.window.acquire, t.mcast, t.window.send));
-    let mut conflicts = Vec::new();
-    let mut lo = 0;
-    while lo < sorted.len() {
-        let ch = sorted[lo].window.channel;
-        let hi = sorted[lo..]
-            .iter()
-            .position(|t| t.window.channel != ch)
-            .map_or(sorted.len(), |off| lo + off);
-        let group = &sorted[lo..hi];
-        for (i, a) in group.iter().enumerate() {
-            for b in &group[i + 1..] {
-                if a.mcast == b.mcast && a.window.send == b.window.send {
-                    continue; // one send revisiting its own channel
-                }
-                let from = a.window.acquire.max(b.window.acquire);
-                let until = a.window.release.min(b.window.release);
-                if from < until {
-                    conflicts.push(SetConflict {
-                        mcast_a: a.mcast,
-                        send_a: a.window.send,
-                        mcast_b: b.mcast,
-                        send_b: b.window.send,
-                        channel: ch,
-                        from,
-                        until,
-                    });
-                }
-            }
-        }
-        lo = hi;
-    }
-    conflicts.sort_by_key(|c| (c.from, c.mcast_a, c.send_a, c.mcast_b, c.send_b));
-    conflicts
 }
 
 /// Member pairs that share participants while their activity envelopes
@@ -519,80 +446,5 @@ mod tests {
         let analysis = analyze_set(&m, &det_cfg(), &set).unwrap();
         assert!(analysis.node_overlaps.is_empty(), "temporal gap ignored");
         assert!(analysis.is_clean(), "{:?}", analysis.conflicts);
-    }
-
-    mod scan_boundaries {
-        use super::*;
-
-        fn win(mcast: usize, send: usize, ch: u32, acquire: Time, release: Time) -> SetWindow {
-            SetWindow {
-                mcast,
-                window: ChannelWindow {
-                    send,
-                    channel: ChannelId(ch),
-                    acquire,
-                    release,
-                },
-            }
-        }
-
-        #[test]
-        fn touching_windows_do_not_conflict() {
-            // [10, 20) then [20, 30): half-open semantics, no overlap.
-            let ws = [win(0, 0, 5, 10, 20), win(1, 0, 5, 20, 30)];
-            assert!(scan_conflicts(&ws).is_empty());
-        }
-
-        #[test]
-        fn one_cycle_overlap_conflicts() {
-            let ws = [win(0, 0, 5, 10, 21), win(1, 0, 5, 20, 30)];
-            let c = scan_conflicts(&ws);
-            assert_eq!(c.len(), 1);
-            assert_eq!((c[0].from, c[0].until), (20, 21));
-            assert_eq!((c[0].mcast_a, c[0].mcast_b), (0, 1));
-        }
-
-        #[test]
-        fn zero_length_window_overlaps_nothing() {
-            // [15, 15) sits inside [10, 20) but is empty.
-            let ws = [win(0, 0, 5, 10, 20), win(1, 0, 5, 15, 15)];
-            assert!(scan_conflicts(&ws).is_empty());
-        }
-
-        #[test]
-        fn identical_start_times_conflict() {
-            let ws = [win(0, 0, 5, 10, 20), win(1, 0, 5, 10, 12)];
-            let c = scan_conflicts(&ws);
-            assert_eq!(c.len(), 1);
-            assert_eq!((c[0].from, c[0].until), (10, 12));
-        }
-
-        #[test]
-        fn different_channels_never_conflict() {
-            let ws = [win(0, 0, 5, 10, 20), win(1, 0, 6, 10, 20)];
-            assert!(scan_conflicts(&ws).is_empty());
-        }
-
-        #[test]
-        fn same_send_revisiting_its_channel_is_skipped() {
-            let ws = [win(0, 3, 5, 10, 20), win(0, 3, 5, 15, 25)];
-            assert!(scan_conflicts(&ws).is_empty());
-            // …but two different sends of the same member do conflict.
-            let ws = [win(0, 3, 5, 10, 20), win(0, 4, 5, 15, 25)];
-            assert_eq!(scan_conflicts(&ws).len(), 1);
-        }
-
-        #[test]
-        fn conflicts_come_back_in_time_order() {
-            let ws = [
-                win(0, 0, 5, 100, 200),
-                win(1, 0, 5, 150, 250),
-                win(2, 0, 7, 10, 30),
-                win(3, 0, 7, 20, 40),
-            ];
-            let c = scan_conflicts(&ws);
-            assert_eq!(c.len(), 2);
-            assert!(c[0].from < c[1].from, "{c:?}");
-        }
     }
 }

@@ -1,81 +1,26 @@
 //! The static contention checker — the operational form of Theorems 1 & 2.
 //!
-//! Two precision levels share this module:
+//! [`check_schedule_windowed`] replays a position-level [`Schedule`]'s tree
+//! under the engine's exact contention-free timing rules
+//! ([`OccupancyParams`], derived from a [`SimConfig`]) and computes a
+//! *per-channel occupancy window* `[acquire, release)` for every channel of
+//! every worm.  Two sends conflict exactly when their windows on a shared
+//! channel intersect — which is also exactly when the wormhole simulator
+//! would record blocked time, making the check a sound *and* complete
+//! certificate for deterministic (non-adaptive, one-port) configurations.
+//! Conflicts are counted per (send pair, channel), so OPT-tree's contention
+//! is quantified rather than merely detected.
 //!
-//! * **Conservative** ([`check_schedule`]): takes a position-level
-//!   [`Schedule`], materialises every send's deterministic channel path,
-//!   and asks whether two sends from *different* senders with overlapping
-//!   lifetimes share a channel.  A worm's lifetime is approximated by
-//!   `(start, start + t_end)` — the whole interval during which any of its
-//!   channels might be held.  (Sends from the *same* node are serialised by
-//!   the one-port injection channel and the `t_hold ≥ drain` invariant, so
-//!   they are excluded.)
-//! * **Windowed** ([`check_schedule_windowed`]): replays the schedule's
-//!   tree under the engine's exact contention-free timing rules
-//!   ([`OccupancyParams`], derived from a [`SimConfig`]) and computes a
-//!   *per-channel occupancy window* `[acquire, release)` for every channel
-//!   of every worm.  Two sends conflict exactly when their windows on a
-//!   shared channel intersect — which is also exactly when the wormhole
-//!   simulator would record blocked time, making this mode a sound *and*
-//!   complete certificate for deterministic (non-adaptive, one-port)
-//!   configurations.  Conflicts are counted per (send pair, channel), so
-//!   OPT-tree's contention is quantified rather than merely detected.
+//! [`scan_windows`] is the one pairwise scan.  Every window carries the
+//! index of the multicast that owns it, so a lone schedule is a set of one
+//! (every tag 0) and `netcheck`'s schedule-set analysis scans its members'
+//! windows, shifted into global time and tagged, with the same function.
 
 use flitsim::SimConfig;
 use mtree::Schedule;
 use pcm::{MsgSize, Time};
 use serde::{Deserialize, Serialize};
 use topo::{Chain, ChannelId, RoutingError, Topology};
-
-/// A detected conflict between two sends of a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Conflict {
-    /// Index of the first send in `schedule.sends`.
-    pub send_a: usize,
-    /// Index of the second send.
-    pub send_b: usize,
-    /// A channel both paths traverse.
-    pub channel: ChannelId,
-}
-
-/// Find all pairwise conflicts of `schedule` embedded on `topo` via `chain`.
-///
-/// Returns an empty vector exactly when the schedule is (statically)
-/// contention-free.  Quadratic in the number of sends; schedules have `k-1`
-/// sends, so this is fine up to thousands of nodes.
-pub fn check_schedule(topo: &dyn Topology, chain: &Chain, schedule: &Schedule) -> Vec<Conflict> {
-    let paths: Vec<Vec<ChannelId>> = schedule
-        .sends
-        .iter()
-        .map(|e| topo.det_path(chain.node(e.from), chain.node(e.to)))
-        .collect();
-    let mut conflicts = Vec::new();
-    for a in 0..schedule.sends.len() {
-        for b in (a + 1)..schedule.sends.len() {
-            let (ea, eb) = (&schedule.sends[a], &schedule.sends[b]);
-            if ea.from == eb.from {
-                continue; // serialised by the sender's own port
-            }
-            // Open-interval overlap of (start, arrive).
-            if ea.start < eb.arrive && eb.start < ea.arrive {
-                if let Some(ch) = topo::graph::shared_channel(&paths[a], &paths[b]) {
-                    conflicts.push(Conflict {
-                        send_a: a,
-                        send_b: b,
-                        channel: ch,
-                    });
-                }
-            }
-        }
-    }
-    conflicts
-}
-
-/// Convenience: is the schedule statically contention-free on this
-/// embedding?
-pub fn is_contention_free(topo: &dyn Topology, chain: &Chain, schedule: &Schedule) -> bool {
-    check_schedule(topo, chain, schedule).is_empty()
-}
 
 /// The timing constants the windowed checker replays — the engine's
 /// contention-free rules evaluated at one message size.
@@ -109,21 +54,14 @@ impl OccupancyParams {
     }
 }
 
-/// How precisely to model worm lifetimes when checking a schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContentionMode {
-    /// Whole-lifetime `(start, arrive)` intervals from the schedule's model
-    /// times — the original, cheap approximation.
-    Conservative,
-    /// Per-channel occupancy windows under the engine's exact timing.
-    Windowed(OccupancyParams),
-}
-
 /// One channel held by one send for the half-open interval
 /// `[acquire, release)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelWindow {
-    /// Index of the send in `schedule.sends`.
+    /// Index of the owning multicast in its schedule set (0 for a lone
+    /// schedule).
+    pub mcast: usize,
+    /// Index of the send in its schedule's `sends`.
     pub send: usize,
     /// The held channel.
     pub channel: ChannelId,
@@ -133,12 +71,16 @@ pub struct ChannelWindow {
     pub release: Time,
 }
 
-/// A conflict found by the windowed checker: two sends whose occupancy
-/// windows on `channel` intersect.
+/// Two sends — possibly of different multicasts — whose occupancy windows
+/// on `channel` intersect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WindowConflict {
-    /// Index of the earlier-acquiring send in `schedule.sends`.
+    /// Multicast of the earlier-acquiring send.
+    pub mcast_a: usize,
+    /// Index of the earlier-acquiring send in its schedule's `sends`.
     pub send_a: usize,
+    /// Multicast of the later-acquiring send.
+    pub mcast_b: usize,
     /// Index of the later-acquiring send.
     pub send_b: usize,
     /// The contended channel.
@@ -160,6 +102,9 @@ pub struct WindowConflict {
 /// network `t_send` later and advances one channel per `router_delay`, the
 /// tail compresses into `ceil(flits/buffer)`-channel spans while climbing
 /// and streams out one flit per cycle while draining.
+///
+/// Every window is tagged multicast 0; a schedule-set analysis re-tags
+/// each member's windows before scanning them together.
 ///
 /// Returns a [`RoutingError`] if any send's deterministic path cannot be
 /// materialised (a topology bug — netcheck reports it as a diagnostic).
@@ -196,6 +141,7 @@ pub fn occupancy_windows(
                 tail_consumed.saturating_sub(downstream).max(acquire[i] + 1)
             };
             windows.push(ChannelWindow {
+                mcast: 0,
                 send: idx,
                 channel: ch,
                 acquire: acquire[i],
@@ -209,10 +155,9 @@ pub fn occupancy_windows(
 
 /// Find all windowed conflicts of `schedule` embedded on `topo` via
 /// `chain`: pairs of sends whose occupancy windows on a shared channel
-/// intersect.  Unlike the conservative checker, same-sender pairs are *not*
-/// excluded — if `t_hold` is shorter than the injection drain, a node's
-/// consecutive worms really do collide on the injection channel and the
-/// simulator counts it as blocked time.
+/// intersect.  Same-sender pairs are included — if `t_hold` is shorter
+/// than the injection drain, a node's consecutive worms really do collide
+/// on the injection channel and the simulator counts it as blocked time.
 pub fn check_schedule_windowed(
     topo: &dyn Topology,
     chain: &Chain,
@@ -224,47 +169,42 @@ pub fn check_schedule_windowed(
     )?))
 }
 
-/// The pure scan underneath [`check_schedule_windowed`]: find every pair of
-/// windows from *different* sends that intersect on a shared channel.
-/// Windows are half-open `[acquire, release)`, so touching windows (one
-/// releases exactly when the other acquires) and zero-length windows never
-/// conflict.  Conflicts come back sorted by (overlap start, send pair).
+/// The one pairwise window scan, underneath [`check_schedule_windowed`]
+/// and `netcheck`'s schedule-set analysis: find every pair of windows from
+/// *different* sends — told apart by `(mcast, send)` — that intersect on a
+/// shared channel.  Windows are half-open `[acquire, release)`, so touching
+/// windows (one releases exactly when the other acquires) and zero-length
+/// windows never conflict.  Conflicts come back sorted by overlap start,
+/// then by send pair.
 pub fn scan_windows(windows: &[ChannelWindow]) -> Vec<WindowConflict> {
     // Group windows per channel, then scan each group pairwise (groups are
     // tiny: a channel is shared by at most a handful of sends).
-    let mut by_channel: Vec<(ChannelId, ChannelWindow)> =
-        windows.iter().map(|w| (w.channel, *w)).collect();
-    by_channel.sort_by_key(|(c, w)| (c.0, w.acquire, w.send));
+    let mut sorted = windows.to_vec();
+    sorted.sort_by_key(|w| (w.channel.0, w.acquire, w.mcast, w.send));
     let mut conflicts = Vec::new();
-    let mut lo = 0;
-    while lo < by_channel.len() {
-        let ch = by_channel[lo].0;
-        let hi = by_channel[lo..]
-            .iter()
-            .position(|(c, _)| *c != ch)
-            .map_or(by_channel.len(), |off| lo + off);
-        let group = &by_channel[lo..hi];
-        for (i, (_, a)) in group.iter().enumerate() {
-            for (_, b) in &group[i + 1..] {
-                if a.send == b.send {
+    for group in sorted.chunk_by(|a, b| a.channel == b.channel) {
+        for (i, a) in group.iter().enumerate() {
+            for b in &group[i + 1..] {
+                if (a.mcast, a.send) == (b.mcast, b.send) {
                     continue; // a buggy path revisiting its own channel
                 }
                 let from = a.acquire.max(b.acquire);
                 let until = a.release.min(b.release);
                 if from < until {
                     conflicts.push(WindowConflict {
+                        mcast_a: a.mcast,
                         send_a: a.send,
+                        mcast_b: b.mcast,
                         send_b: b.send,
-                        channel: ch,
+                        channel: a.channel,
                         from,
                         until,
                     });
                 }
             }
         }
-        lo = hi;
     }
-    conflicts.sort_by_key(|c| (c.from, c.send_a, c.send_b));
+    conflicts.sort_by_key(|c| (c.from, c.mcast_a, c.send_a, c.mcast_b, c.send_b));
     conflicts
 }
 
@@ -275,46 +215,50 @@ mod tests {
 
     use topo::{Mesh, NodeId};
 
-    fn schedule_for(
+    /// The windowed conflicts of the schedule `run_multicast` builds for
+    /// `alg` at `bytes`: the runner's model pair feeds the DP, and the
+    /// replay runs at the same message size.
+    fn runner_conflicts(
         topo: &dyn Topology,
+        cfg: &SimConfig,
         alg: Algorithm,
         parts: &[NodeId],
         src: NodeId,
-        hold: u64,
-        end: u64,
-    ) -> (Chain, Schedule) {
+        bytes: MsgSize,
+    ) -> Vec<WindowConflict> {
+        let hops = crate::runner::nominal_hops(topo, parts, src);
+        let (hold, end) = cfg.effective_pair_ports(hops, bytes, topo.graph().ports() as u64);
         let chain = alg.chain(topo, parts, src);
         let splits = alg.splits(hold, end, parts.len().max(2));
         let sched = Schedule::build(parts.len(), chain.src_pos(), &splits, hold, end);
-        (chain, sched)
+        let params = OccupancyParams::from_config(cfg, bytes);
+        check_schedule_windowed(topo, &chain, &sched, &params).unwrap()
     }
 
-    /// The paper's Fig. 1 setting: 8 nodes in a 6×6 mesh, t_hold=20,
-    /// t_end=55 — OPT-mesh must be contention-free.
+    /// The paper's Fig. 1 placement (8 nodes in a 6×6 mesh): OPT-mesh is
+    /// contention-free from every source under the engine's own timing.
     #[test]
-    fn fig1_opt_mesh_is_contention_free() {
+    fn fig1_opt_mesh_is_windowed_clean() {
         let m = Mesh::new(&[6, 6]);
+        let cfg = SimConfig::paragon_like();
         let parts: Vec<NodeId> = [1u32, 4, 9, 13, 19, 25, 28, 33].map(NodeId).to_vec();
         for src in &parts {
-            let (chain, sched) = schedule_for(&m, Algorithm::OptArch, &parts, *src, 20, 55);
-            assert!(
-                is_contention_free(&m, &chain, &sched),
-                "conflicts from src {src:?}: {:?}",
-                check_schedule(&m, &chain, &sched)
-            );
+            let conflicts = runner_conflicts(&m, &cfg, Algorithm::OptArch, &parts, *src, 1024);
+            assert!(conflicts.is_empty(), "src {src:?}: {conflicts:?}");
         }
     }
 
     /// U-mesh (binomial on the dimension-ordered chain) is contention-free
     /// as well — the McKinley result the paper builds on.
     #[test]
-    fn u_mesh_is_contention_free() {
+    fn u_mesh_is_windowed_clean() {
         let m = Mesh::new(&[8, 8]);
+        let cfg = SimConfig::paragon_like();
         let parts: Vec<NodeId> = [2u32, 5, 11, 17, 23, 31, 38, 44, 50, 57, 61, 63]
             .map(NodeId)
             .to_vec();
-        let (chain, sched) = schedule_for(&m, Algorithm::UArch, &parts, NodeId(17), 30, 30);
-        assert!(is_contention_free(&m, &chain, &sched));
+        let conflicts = runner_conflicts(&m, &cfg, Algorithm::UArch, &parts, NodeId(17), 4096);
+        assert!(conflicts.is_empty(), "{conflicts:?}");
     }
 
     /// The unordered OPT-tree generally conflicts — that is the paper's
@@ -324,20 +268,19 @@ mod tests {
     #[test]
     fn unordered_opt_tree_conflicts_where_opt_mesh_does_not() {
         let m = Mesh::new(&[6, 6]);
+        let cfg = SimConfig::paragon_like();
         let mut scrambled_conflicts = 0;
         let n_seeds = 40;
         for seed in 0..n_seeds {
             let parts = crate::experiments::random_placement(36, 12, seed);
             let src = parts[0];
-            let (chain, sched) = schedule_for(&m, Algorithm::OptTree, &parts, src, 20, 55);
-            if !check_schedule(&m, &chain, &sched).is_empty() {
+            if !runner_conflicts(&m, &cfg, Algorithm::OptTree, &parts, src, 4096).is_empty() {
                 scrambled_conflicts += 1;
             }
-            let (chain, sched) = schedule_for(&m, Algorithm::OptArch, &parts, src, 20, 55);
+            let conflicts = runner_conflicts(&m, &cfg, Algorithm::OptArch, &parts, src, 4096);
             assert!(
-                is_contention_free(&m, &chain, &sched),
-                "OPT-mesh conflicted at seed {seed}: {:?}",
-                check_schedule(&m, &chain, &sched)
+                conflicts.is_empty(),
+                "OPT-mesh conflicted at seed {seed}: {conflicts:?}"
             );
         }
         assert!(
@@ -349,27 +292,9 @@ mod tests {
     #[test]
     fn single_send_never_conflicts() {
         let m = Mesh::new(&[4, 4]);
+        let cfg = SimConfig::paragon_like();
         let parts = [NodeId(0), NodeId(15)];
-        let (chain, sched) = schedule_for(&m, Algorithm::OptArch, &parts, NodeId(0), 10, 50);
-        assert!(check_schedule(&m, &chain, &sched).is_empty());
-    }
-
-    /// The windowed checker certifies Fig. 1's OPT-mesh conflict-free under
-    /// the engine's own timing, not just the model approximation.
-    #[test]
-    fn fig1_opt_mesh_is_windowed_clean() {
-        let m = Mesh::new(&[6, 6]);
-        let cfg = flitsim::SimConfig::paragon_like();
-        let bytes = 1024;
-        let parts: Vec<NodeId> = [1u32, 4, 9, 13, 19, 25, 28, 33].map(NodeId).to_vec();
-        let hops = crate::runner::nominal_hops(&m, &parts, parts[0]);
-        let (hold, end) = cfg.effective_pair(hops, bytes);
-        for src in &parts {
-            let (chain, sched) = schedule_for(&m, Algorithm::OptArch, &parts, *src, hold, end);
-            let params = OccupancyParams::from_config(&cfg, bytes);
-            let conflicts = check_schedule_windowed(&m, &chain, &sched, &params).unwrap();
-            assert!(conflicts.is_empty(), "src {src:?}: {conflicts:?}");
-        }
+        assert!(runner_conflicts(&m, &cfg, Algorithm::OptArch, &parts, NodeId(0), 4096).is_empty());
     }
 
     /// Windowed occupancy agrees with the simulator: a scrambled OPT-tree
@@ -378,18 +303,14 @@ mod tests {
     #[test]
     fn windowed_verdict_matches_simulator_on_scrambles() {
         let m = Mesh::new(&[6, 6]);
-        let mut cfg = flitsim::SimConfig::paragon_like();
+        let mut cfg = SimConfig::paragon_like();
         cfg.adaptive = false; // deterministic paths = exact replay
         let bytes = 2048;
         let mut agree = 0;
         for seed in 0..12 {
             let parts = crate::experiments::random_placement(36, 10, seed);
             let src = parts[0];
-            let hops = crate::runner::nominal_hops(&m, &parts, src);
-            let (hold, end) = cfg.effective_pair(hops, bytes);
-            let (chain, sched) = schedule_for(&m, Algorithm::OptTree, &parts, src, hold, end);
-            let params = OccupancyParams::from_config(&cfg, bytes);
-            let conflicts = check_schedule_windowed(&m, &chain, &sched, &params).unwrap();
+            let conflicts = runner_conflicts(&m, &cfg, Algorithm::OptTree, &parts, src, bytes);
             let out =
                 crate::runner::run_multicast(&m, &cfg, Algorithm::OptTree, &parts, src, bytes);
             assert_eq!(
@@ -405,13 +326,15 @@ mod tests {
     }
 
     /// Overlap intervals are well-formed and windows cover every path
-    /// channel exactly once per send.
+    /// channel exactly once per send, all tagged as multicast 0.
     #[test]
     fn occupancy_windows_cover_paths() {
         let m = Mesh::new(&[6, 6]);
-        let cfg = flitsim::SimConfig::paragon_like();
+        let cfg = SimConfig::paragon_like();
         let parts: Vec<NodeId> = [0u32, 7, 14, 21, 28, 35].map(NodeId).to_vec();
-        let (chain, sched) = schedule_for(&m, Algorithm::OptArch, &parts, NodeId(0), 300, 700);
+        let chain = Algorithm::OptArch.chain(&m, &parts, NodeId(0));
+        let splits = Algorithm::OptArch.splits(300, 700, parts.len());
+        let sched = Schedule::build(parts.len(), chain.src_pos(), &splits, 300, 700);
         let params = OccupancyParams::from_config(&cfg, 256);
         let windows = occupancy_windows(&m, &chain, &sched, &params).unwrap();
         for (idx, e) in sched.sends.iter().enumerate() {
@@ -421,6 +344,7 @@ mod tests {
             for w in mine {
                 assert!(w.acquire < w.release, "empty window {w:?}");
                 assert!(path.contains(&w.channel));
+                assert_eq!(w.mcast, 0);
             }
         }
     }
@@ -432,6 +356,7 @@ mod tests {
 
         fn w(send: usize, channel: u32, acquire: Time, release: Time) -> ChannelWindow {
             ChannelWindow {
+                mcast: 0,
                 send,
                 channel: ChannelId(channel),
                 acquire,
@@ -473,9 +398,25 @@ mod tests {
             assert!(scan_windows(&[w(0, 7, 100, 200), w(1, 8, 100, 200)]).is_empty());
         }
 
+        /// `w` moved into multicast `mcast` of a schedule set.
+        fn of(mcast: usize, window: ChannelWindow) -> ChannelWindow {
+            ChannelWindow { mcast, ..window }
+        }
+
         #[test]
         fn same_send_revisiting_a_channel_is_skipped() {
             assert!(scan_windows(&[w(0, 7, 100, 200), w(0, 7, 150, 250)]).is_empty());
+            // …but the same send index in another multicast is another send,
+            let c = scan_windows(&[w(0, 7, 100, 200), of(1, w(0, 7, 150, 250))]);
+            assert_eq!(c.len(), 1);
+            assert_eq!((c[0].mcast_a, c[0].mcast_b), (0, 1));
+            // …and two sends of one set member conflict like any others.
+            let c = scan_windows(&[of(2, w(3, 7, 100, 200)), of(2, w(4, 7, 150, 250))]);
+            assert_eq!(c.len(), 1);
+            assert_eq!(
+                (c[0].mcast_a, c[0].send_a, c[0].mcast_b, c[0].send_b),
+                (2, 3, 2, 4)
+            );
         }
 
         #[test]

@@ -21,9 +21,11 @@
 //! * [`runner::run_multicast`] — one experiment: build the chain, feed the
 //!   measured `(t_hold, t_end)` pair to the DP, execute on the flit-level
 //!   simulator, return observed latency + the analytic lower bound.
-//! * [`contention::check_schedule`] — the static checker: do any two
-//!   concurrently-live sends of a schedule share a channel?  (Theorems 1
-//!   and 2 say "never" for OPT-mesh/OPT-min.)
+//! * [`contention::check_schedule_windowed`] — the static checker: replay
+//!   a schedule under the engine's timing and report every pair of sends
+//!   holding one channel at the same time.  (Theorems 1 and 2 say "never"
+//!   for OPT-mesh/OPT-min.)  Its scan, [`contention::scan_windows`], also
+//!   serves `netcheck`'s schedule sets: one multicast is a set of one.
 //! * [`measure`] — user-level calibration *inside the simulator*: ping for
 //!   `t_end(m)`, send bursts for `t_hold(m)`, then `pcm::calibrate` fits the
 //!   model exactly as the authors' methodology prescribes.
@@ -65,8 +67,8 @@ pub mod temporal;
 pub use algorithm::Algorithm;
 pub use concurrent::{run_concurrent, McastSpec};
 pub use contention::{
-    check_schedule, check_schedule_windowed, occupancy_windows, scan_windows, ChannelWindow,
-    Conflict, ContentionMode, OccupancyParams, WindowConflict,
+    check_schedule_windowed, occupancy_windows, scan_windows, ChannelWindow, OccupancyParams,
+    WindowConflict,
 };
 pub use experiments::{
     placement_stream, random_placement, run_trials_detailed, splitmix64, trial_seed, TrialOutcome,

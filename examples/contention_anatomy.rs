@@ -1,6 +1,7 @@
 //! Contention anatomy: open up one OPT-tree run and show *where* the
-//! blocking happens — which sends collide on which channels, statically
-//! predicted and dynamically observed — then show the OPT-mesh ordering
+//! blocking happens — which sends collide on which channels during which
+//! cycles, statically predicted by the windowed replay of the run's own
+//! schedule and dynamically observed — then show the OPT-mesh ordering
 //! dissolving every collision.
 //!
 //! ```text
@@ -8,38 +9,41 @@
 //! ```
 
 use flitsim::SimConfig;
-use mtree::Schedule;
 use optmc::experiments::random_placement;
-use optmc::{check_schedule, run_multicast, Algorithm};
-use topo::Mesh;
+use optmc::{check_schedule_windowed, run_multicast, Algorithm, OccupancyParams};
+use topo::{Mesh, NodeId};
 
 fn main() {
     let mesh = Mesh::new(&[16, 16]);
     let cfg = SimConfig::paragon_like();
+    let bytes = 4096;
+    let params = OccupancyParams::from_config(&cfg, bytes);
+    let run = |alg: Algorithm, placement: &[NodeId]| {
+        let out = run_multicast(&mesh, &cfg, alg, placement, placement[0], bytes);
+        let chain = alg.chain(&mesh, placement, placement[0]);
+        let overlaps = check_schedule_windowed(&mesh, &chain, &out.schedule, &params)
+            .expect("mesh routes materialise");
+        (out, overlaps)
+    };
 
-    // Find a placement where the unordered chain collides (most do).
+    // Find a placement where the unordered chain collides.
     let (placement, seed) = (0..)
         .map(|s| (random_placement(256, 16, s), s))
-        .find(|(p, _)| {
-            let chain = Algorithm::OptTree.chain(&mesh, p, p[0]);
-            let splits = Algorithm::OptTree.splits(20, 55, p.len());
-            let sched = Schedule::build(p.len(), chain.src_pos(), &splits, 20, 55);
-            !check_schedule(&mesh, &chain, &sched).is_empty()
-        })
+        .find(|(p, _)| !run(Algorithm::OptTree, p).1.is_empty())
         .expect("some placement collides");
     println!(
         "Placement (seed {seed}): {:?}\n",
         placement.iter().map(|n| n.0).collect::<Vec<_>>()
     );
 
-    let src = placement[0];
     for alg in [Algorithm::OptTree, Algorithm::OptArch] {
-        let out = run_multicast(&mesh, &cfg, alg, &placement, src, 4096);
-        let chain = alg.chain(&mesh, &placement, src);
-        let conflicts = check_schedule(&mesh, &chain, &out.schedule);
+        let (out, overlaps) = run(alg, &placement);
         println!("{}:", alg.display_name(&mesh));
-        println!("  static conflicts predicted: {}", conflicts.len());
-        for c in conflicts.iter().take(5) {
+        println!(
+            "  static (send pair, channel) overlaps predicted: {}",
+            overlaps.len()
+        );
+        for c in overlaps.iter().take(5) {
             let a = &out.schedule.sends[c.send_a];
             let b = &out.schedule.sends[c.send_b];
             let coord = |pos: usize| {
@@ -47,16 +51,14 @@ fn main() {
                 format!("({},{})", xy[0], xy[1])
             };
             println!(
-                "    {}->{} [{} .. {}] collides with {}->{} [{} .. {}] on channel {}",
+                "    {}->{} collides with {}->{} on channel {} during cycles [{} .. {})",
                 coord(a.from),
                 coord(a.to),
-                a.start,
-                a.arrive,
                 coord(b.from),
                 coord(b.to),
-                b.start,
-                b.arrive,
-                c.channel.0
+                c.channel.0,
+                c.from,
+                c.until
             );
         }
         println!(

@@ -150,12 +150,22 @@ echo "==> bench_plan --check BENCH_plan.json (sentinels exact, throughput >= 0.7
 cargo run --release -q -p optmc-bench --bin bench_plan -- --check BENCH_plan.json
 
 # Figure determinism gate: the committed paper figures must regenerate
-# byte-identical from a clean build.
-echo "==> figure regeneration is byte-identical (fig2, fig3)"
+# byte-identical from a clean build — fig1's worked example (its whole
+# stdout, contention verdicts included) and the fig2-fig4 datasets, fig4
+# in both the adaptive and the --no-adaptive (ABL2) configuration.
+echo "==> figure regeneration is byte-identical (fig1, fig2, fig3, fig4 + --no-adaptive)"
+cargo run --release -q -p optmc-bench --bin fig1_example > "$SMOKE_DIR/fig1_example.txt"
+cmp "$SMOKE_DIR/fig1_example.txt" results/fig1_example.txt \
+    || { echo "fig1_example output diverged from results/fig1_example.txt" >&2; exit 1; }
 cargo run --release -q -p optmc-bench --bin fig2_mesh_msgsize >/dev/null
 cargo run --release -q -p optmc-bench --bin fig3_mesh_nodes >/dev/null
+cargo run --release -q -p optmc-bench --bin fig4_bmin >/dev/null
+cargo run --release -q -p optmc-bench --bin fig4_bmin -- --no-adaptive >/dev/null
 git diff --exit-code -- \
     results/fig2.csv results/fig2.json results/fig3.csv results/fig3.json \
+    results/fig4a.csv results/fig4a.json results/fig4b.csv results/fig4b.json \
+    results/fig4a_noadapt.csv results/fig4a_noadapt.json \
+    results/fig4b_noadapt.csv results/fig4b_noadapt.json \
     || { echo "figure regeneration diverged from committed results/" >&2; exit 1; }
 
 # ---------------------------------------------------------------------------

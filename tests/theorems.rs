@@ -12,15 +12,16 @@
 use flitsim::SimConfig;
 use mtree::Schedule;
 use optmc::experiments::random_placement;
-use optmc::{check_schedule, run_multicast, Algorithm};
+use optmc::{check_schedule_windowed, run_multicast, Algorithm, OccupancyParams};
 use topo::{Bmin, Mesh, UpPolicy};
 
 /// Theorem 1, static form: OPT-mesh and U-mesh schedules on random
-/// placements of a 16×16 mesh never share a channel between
-/// concurrently-live sends.
+/// placements of a 16×16 mesh, replayed under the engine's timing from 0
+/// to 64 KB, never hold a channel while another send holds it.
 #[test]
 fn theorem1_static_contention_freedom() {
     let mesh = Mesh::new(&[16, 16]);
+    let cfg = SimConfig::paragon_like();
     for seed in 0..30u64 {
         for k in [8usize, 32, 96] {
             let parts = random_placement(256, k, seed * 7 + k as u64);
@@ -29,12 +30,16 @@ fn theorem1_static_contention_freedom() {
                 let chain = alg.chain(&mesh, &parts, src);
                 let splits = alg.splits(20, 55, k);
                 let sched = Schedule::build(k, chain.src_pos(), &splits, 20, 55);
-                let conflicts = check_schedule(&mesh, &chain, &sched);
-                assert!(
-                    conflicts.is_empty(),
-                    "seed {seed} k {k} {:?}: {conflicts:?}",
-                    alg.display_name(&mesh)
-                );
+                for bytes in [0, 4096, 65536] {
+                    let params = OccupancyParams::from_config(&cfg, bytes);
+                    let conflicts = check_schedule_windowed(&mesh, &chain, &sched, &params)
+                        .expect("mesh routes materialise");
+                    assert!(
+                        conflicts.is_empty(),
+                        "seed {seed} k {k} {bytes} bytes {:?}: {conflicts:?}",
+                        alg.display_name(&mesh)
+                    );
+                }
             }
         }
     }
