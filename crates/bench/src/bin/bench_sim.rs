@@ -3,11 +3,7 @@
 //! staggered concurrent multicast, a 128x128 mesh, a 4096-node BMIN, a
 //! 256x256 mesh, a 16384-node BMIN) with the observability layer's
 //! [`flitsim::RunMeta`] instrumentation and record events processed, peak
-//! heap, wall-time, events/sec, and — for sharded records — rendezvous
-//! rounds per workload.  The large workloads (and the paper's
-//! small-message mesh workload) run twice — sequentially and under the
-//! sharded engine (`<id>_sh<N>` records, default 4 shards, `--shards N`) —
-//! so the two execution strategies are reported separately.
+//! heap, wall-time and events/sec per workload.
 //!
 //! Writes `results/bench_sim.json` plus the repo-root `BENCH_sim.json`
 //! (records + totals + seed), so regressions in simulator throughput show up
@@ -15,31 +11,24 @@
 //!
 //! ```text
 //! cargo run --release -p optmc-bench --bin bench_sim \
-//!     [--runs 8] [--seed 1997] [--shards 4]
+//!     [--runs 8] [--seed 1997]
 //! cargo run --release -p optmc-bench --bin bench_sim -- --check BENCH_sim.json
 //! ```
 //!
 //! `--check` re-runs every workload recorded in the committed file (with its
 //! recorded run count and the file's seed), requires the deterministic
 //! sentinels (`events_scheduled`, `peak_heap_events`, `mean_latency`,
-//! `sim_cycles`, `shard_rounds`) to match **exactly**, and fails if overall
-//! throughput drops below 75% of the committed figure.  Sharded records
-//! must additionally agree **exactly** with their sequential base on every
-//! merged deterministic sentinel, keep their rendezvous rounds per
-//! simulated cycle under the barrier-efficiency ceiling (the
-//! window-coalescing gate; rendezvous stall fractions are printed as
-//! diagnostics but never gated — they are wall-clock), and — on machines
-//! with enough cores — clear the wall-clock speedup floor (1.5x at 4
-//! shards on the 128x128 mesh).  Nothing is written in check mode.
+//! `sim_cycles`) to match **exactly**, fails if overall throughput drops
+//! below 75% of the committed figure, and holds the counters-only observer
+//! within 5% of the Null observer.  Nothing is written in check mode.
 
 use std::process::ExitCode;
 
 use flitsim::SimConfig;
 use optmc::Algorithm;
 use optmc_bench::{
-    arg_value, barrier_efficiency_failures, bench_concurrent, bench_observed, bench_table,
-    bench_workload, compare_bench, observer_overhead_failures, parse_bench_file,
-    shard_identity_failures, shard_speedup_failures, shard_suffix, write_bench_sim, SimBenchRecord,
+    arg_value, bench_concurrent, bench_observed, bench_table, bench_workload, compare_bench,
+    observer_overhead_failures, parse_bench_file, write_bench_sim, SimBenchRecord,
 };
 use topo::{Bmin, Mesh, Topology, UpPolicy};
 
@@ -54,34 +43,11 @@ const MIN_THROUGHPUT_RATIO: f64 = 0.75;
 /// adds per event; 5% is the agreed overhead budget.
 const MIN_OBS_RATIO: f64 = 0.95;
 
-/// Default shard count for the sharded benchmark variants.
-const DEFAULT_SHARDS: usize = 4;
-
-/// Wall-clock speedup floor for the 4-shard 128x128-mesh workload, enforced
-/// by `--check` when the machine has at least `shards` cores.
-const MIN_SHARD_SPEEDUP: f64 = 1.5;
-
-/// Barrier-efficiency ceiling: rendezvous rounds per simulated cycle for
-/// every sharded record.  The adaptive protocol coalesces windows whenever
-/// the EIT promises show no cross-shard event below the candidate horizon,
-/// so the measured figure sits far below the one-round-per-lookahead-window
-/// worst case (~1/rd ≈ 0.07 for the paragon-like config).  The worst
-/// committed record (the open-loop 64-way staggered workload) sits at
-/// ~0.031 rounds/cycle; the paper small-message workload at ~0.0135 —
-/// 2.4x fewer synchronization points per cycle than the fixed-window
-/// two-barrier protocol it replaced (0.0328).  Deterministic, hence an
-/// exact gate rather than a noise band.
-const MAX_ROUNDS_PER_SIM_CYCLE: f64 = 0.04;
-
 /// Run every benchmark workload.  `runs_for(workload_id, default)` decides
 /// the per-workload run count: generation passes the defaults through,
 /// `--check` substitutes each committed record's count so event totals are
 /// comparable.
-fn run_all(
-    seed: u64,
-    shards: usize,
-    runs_for: &dyn Fn(&str, usize) -> usize,
-) -> Vec<SimBenchRecord> {
+fn run_all(seed: u64, runs_for: &dyn Fn(&str, usize) -> usize) -> Vec<SimBenchRecord> {
     let mesh = Mesh::new(&[16, 16]);
     let bmin = Bmin::new(7, UpPolicy::Straight);
     let big_mesh = Mesh::new(&[32, 32]);
@@ -234,110 +200,6 @@ fn run_all(
         ));
     }
 
-    // Sharded twins of the large workloads: same placements, same seed,
-    // shards > 1.  Results are bit-identical to the sequential records (the
-    // check enforces it); the separate `_sh<N>` ids keep the two execution
-    // strategies' throughput reported side by side.  The fallback counter
-    // guard makes silent sequential fallback a loud failure instead of a
-    // vacuous comparison.
-    let mut sh_cfg = cfg.clone();
-    sh_cfg.shards = shards;
-    let fallbacks_before = flitsim::metrics::SHARD_FALLBACKS.get();
-    let sharded: [(&str, &str, &dyn Topology, usize, u64, usize); 7] = [
-        // The paper's small-message mesh workload — the configuration the
-        // adaptive window protocol's rounds-per-cycle acceptance figure is
-        // measured on (its sequential base is the fig3 OptArch record).
-        (
-            "fig3_mesh_nodes",
-            "16x16 mesh, 60 nodes, 4 KB",
-            &mesh,
-            60,
-            4096,
-            8,
-        ),
-        (
-            "big_mesh_32x32",
-            "32x32 mesh, 64 nodes, 16 KB",
-            &big_mesh,
-            64,
-            16 * 1024,
-            3,
-        ),
-        (
-            "big_bmin_1024",
-            "1024-node BMIN, 64 nodes, 4 KB",
-            &big_bmin,
-            64,
-            4096,
-            3,
-        ),
-        (
-            "big_mesh_128x128",
-            "128x128 mesh, 128 nodes, 16 KB",
-            &huge_mesh,
-            128,
-            16 * 1024,
-            1,
-        ),
-        (
-            "big_bmin_4096",
-            "4096-node BMIN, 96 nodes, 4 KB",
-            &huge_bmin,
-            96,
-            4096,
-            1,
-        ),
-        (
-            "big_mesh_256x256",
-            "256x256 mesh, 128 nodes, 16 KB",
-            &giant_mesh,
-            128,
-            16 * 1024,
-            1,
-        ),
-        (
-            "big_bmin_16384",
-            "16384-node BMIN, 96 nodes, 4 KB",
-            &giant_bmin,
-            96,
-            4096,
-            1,
-        ),
-    ];
-    for (base, detail, topo, k, bytes, default_runs) in sharded {
-        let id = format!("{base}_sh{shards}");
-        let runs = runs_for(&id, default_runs);
-        records.push(bench_workload(
-            &id,
-            detail,
-            topo,
-            &sh_cfg,
-            Algorithm::OptArch,
-            k,
-            bytes,
-            runs,
-            seed,
-        ));
-    }
-    let id = format!("concurrent_64way_sh{shards}");
-    records.push(bench_concurrent(
-        &id,
-        "32x32 mesh, 64 x 16-node multicasts, 4 KB, 2000-cycle stagger",
-        &big_mesh,
-        &sh_cfg,
-        Algorithm::OptArch,
-        64,
-        16,
-        4096,
-        2000,
-        runs_for(&id, 3),
-        seed,
-    ));
-    assert_eq!(
-        flitsim::metrics::SHARD_FALLBACKS.get(),
-        fallbacks_before,
-        "a sharded benchmark workload silently fell back to the sequential engine"
-    );
     records
 }
 
@@ -356,14 +218,7 @@ fn check(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Re-run with the shard count the committed records were generated at
-    // (parsed from their `_sh<N>` ids), so the fresh ids line up.
-    let shards = committed
-        .records
-        .iter()
-        .find_map(|r| shard_suffix(&r.workload).map(|(_, n)| n))
-        .unwrap_or(DEFAULT_SHARDS);
-    let fresh = run_all(committed.seed, shards, &|id, default| {
+    let fresh = run_all(committed.seed, &|id, default| {
         committed
             .records
             .iter()
@@ -372,37 +227,6 @@ fn check(path: &str) -> ExitCode {
     });
     let mut failures = compare_bench(&committed, &fresh, MIN_THROUGHPUT_RATIO);
     failures.extend(observer_overhead_failures(&fresh, MIN_OBS_RATIO));
-    failures.extend(shard_identity_failures(&fresh));
-    failures.extend(barrier_efficiency_failures(
-        &fresh,
-        MAX_ROUNDS_PER_SIM_CYCLE,
-    ));
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores >= shards {
-        failures.extend(shard_speedup_failures(
-            &fresh,
-            &[(format!("big_mesh_128x128_sh{shards}"), MIN_SHARD_SPEEDUP)],
-        ));
-    } else {
-        println!(
-            "bench check: *** SHARD SPEEDUP FLOOR DISARMED *** only {cores} core(s) available \
-             but {shards} shards need {shards} — the >={MIN_SHARD_SPEEDUP}x wall-clock gate did \
-             NOT run on this machine (sharded-vs-sequential identity still checked)"
-        );
-    }
-    // Barrier-efficiency diagnostics: rounds per simulated cycle is the
-    // gated (deterministic) figure; the rendezvous stall fraction is
-    // wall-clock, so it is printed for eyes only.
-    for r in fresh.iter().filter(|r| r.shard_rounds > 0) {
-        println!(
-            "bench check: {:<24} {:>7} rendezvous rounds, {:.6} rounds/sim-cycle \
-             (ceiling {MAX_ROUNDS_PER_SIM_CYCLE}), stall fraction {:.1}% (not gated)",
-            r.workload,
-            r.shard_rounds,
-            r.rounds_per_sim_cycle(),
-            100.0 * r.stall_fraction(shards),
-        );
-    }
     print!("{}", bench_table(&fresh));
     if failures.is_empty() {
         println!(
@@ -426,13 +250,8 @@ fn main() -> ExitCode {
     }
     let runs: Option<usize> = arg_value(&args, "--runs").map(|v| v.parse().expect("--runs"));
     let seed: u64 = arg_value(&args, "--seed").map_or(1997, |v| v.parse().expect("--seed"));
-    let shards: usize = arg_value(&args, "--shards").map_or(DEFAULT_SHARDS, |v| {
-        let n = v.parse().expect("--shards");
-        assert!(n >= 2, "--shards must be at least 2");
-        n
-    });
 
-    let records = run_all(seed, shards, &|_, default| runs.unwrap_or(default));
+    let records = run_all(seed, &|_, default| runs.unwrap_or(default));
     print!("{}", bench_table(&records));
     match write_bench_sim(&records, seed) {
         Ok((detail, root)) => {

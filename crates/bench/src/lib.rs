@@ -122,39 +122,6 @@ pub struct SimBenchRecord {
     /// Total simulated cycles across all runs (`SimResult::finish` summed;
     /// deterministic).
     pub sim_cycles: u64,
-    /// Rendezvous rounds the sharded engine executed across all runs
-    /// (0 for sequential records; deterministic — the adaptive window
-    /// schedule depends only on the workload and the shard plan, never on
-    /// thread timing).
-    pub shard_rounds: u64,
-    /// Wall-clock nanoseconds shard workers spent stalled at the
-    /// rendezvous, summed over shards and runs (non-deterministic;
-    /// reported, never gated).
-    pub shard_stall_ns: u64,
-}
-
-impl SimBenchRecord {
-    /// Rendezvous rounds per simulated cycle — the barrier-efficiency
-    /// figure (0 for sequential records).  Deterministic, so `--check`
-    /// can hold it under a ceiling: window coalescing exists precisely
-    /// to keep this far below the one-round-per-lookahead-window worst
-    /// case.
-    pub fn rounds_per_sim_cycle(&self) -> f64 {
-        if self.sim_cycles == 0 {
-            return 0.0;
-        }
-        self.shard_rounds as f64 / self.sim_cycles as f64
-    }
-
-    /// Fraction of total shard-thread wall-clock spent stalled at the
-    /// rendezvous (non-deterministic; diagnostic only).
-    pub fn stall_fraction(&self, shards: usize) -> f64 {
-        let total = self.wall_ns.saturating_mul(shards as u64);
-        if total == 0 {
-            return 0.0;
-        }
-        self.shard_stall_ns as f64 / total as f64
-    }
 }
 
 /// Run `runs` seeded placements of one multicast workload and aggregate the
@@ -186,12 +153,8 @@ pub fn bench_workload(
         events_per_sec: 0.0,
         mean_latency: 0.0,
         sim_cycles: 0,
-        shard_rounds: 0,
-        shard_stall_ns: 0,
     };
     let mut latency_sum = 0u64;
-    let rounds_before = flitsim::metrics::SHARD_ROUNDS.get();
-    let stall_before = flitsim::metrics::SHARD_STALL_NS.get();
     for t in 0..runs {
         let parts = optmc::random_placement(n, k, seed + t as u64);
         let out = optmc::run_multicast(topo, cfg, alg, &parts, parts[0], bytes);
@@ -204,8 +167,6 @@ pub fn bench_workload(
         rec.sim_cycles += out.sim.finish;
         latency_sum += out.latency;
     }
-    rec.shard_rounds = flitsim::metrics::SHARD_ROUNDS.get() - rounds_before;
-    rec.shard_stall_ns = flitsim::metrics::SHARD_STALL_NS.get() - stall_before;
     rec.mean_latency = latency_sum as f64 / runs as f64;
     if rec.wall_ns > 0 {
         rec.events_per_sec = rec.events_processed as f64 * 1e9 / rec.wall_ns as f64;
@@ -246,13 +207,9 @@ pub fn bench_observed(
         events_per_sec: 0.0,
         mean_latency: 0.0,
         sim_cycles: 0,
-        shard_rounds: 0,
-        shard_stall_ns: 0,
     };
     let mut latency_sum = 0u64;
     let opts = optmc::RunOptions::default();
-    let rounds_before = flitsim::metrics::SHARD_ROUNDS.get();
-    let stall_before = flitsim::metrics::SHARD_STALL_NS.get();
     for t in 0..runs {
         let parts = optmc::random_placement(n, k, seed + t as u64);
         let sink = counters.then(flitsim::TraceSink::counters);
@@ -267,8 +224,6 @@ pub fn bench_observed(
         rec.sim_cycles += out.sim.finish;
         latency_sum += out.latency;
     }
-    rec.shard_rounds = flitsim::metrics::SHARD_ROUNDS.get() - rounds_before;
-    rec.shard_stall_ns = flitsim::metrics::SHARD_STALL_NS.get() - stall_before;
     rec.mean_latency = latency_sum as f64 / runs as f64;
     if rec.wall_ns > 0 {
         rec.events_per_sec = rec.events_processed as f64 * 1e9 / rec.wall_ns as f64;
@@ -310,12 +265,8 @@ pub fn bench_concurrent(
         events_per_sec: 0.0,
         mean_latency: 0.0,
         sim_cycles: 0,
-        shard_rounds: 0,
-        shard_stall_ns: 0,
     };
     let mut latency_sum = 0u64;
-    let rounds_before = flitsim::metrics::SHARD_ROUNDS.get();
-    let stall_before = flitsim::metrics::SHARD_STALL_NS.get();
     for t in 0..runs {
         let placement = optmc::random_placement(n, ways * k, seed + t as u64);
         let specs: Vec<McastSpec> = placement
@@ -338,8 +289,6 @@ pub fn bench_concurrent(
         rec.sim_cycles += sim.finish;
         latency_sum += outcomes.iter().map(|o| o.latency).sum::<Time>();
     }
-    rec.shard_rounds = flitsim::metrics::SHARD_ROUNDS.get() - rounds_before;
-    rec.shard_stall_ns = flitsim::metrics::SHARD_STALL_NS.get() - stall_before;
     rec.mean_latency = latency_sum as f64 / (runs * ways) as f64;
     if rec.wall_ns > 0 {
         rec.events_per_sec = rec.events_processed as f64 * 1e9 / rec.wall_ns as f64;
@@ -364,9 +313,6 @@ impl SimBenchRecord {
             "events_per_sec": self.events_per_sec,
             "mean_latency": self.mean_latency,
             "sim_cycles": self.sim_cycles,
-            "shard_rounds": self.shard_rounds,
-            "shard_rounds_per_sim_cycle": self.rounds_per_sim_cycle(),
-            "shard_stall_ns": self.shard_stall_ns,
         })
     }
 }
@@ -376,20 +322,13 @@ pub fn bench_table(records: &[SimBenchRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12} {:>12} {:>9}",
-        "workload",
-        "algorithm",
-        "runs",
-        "events",
-        "peak-heap",
-        "wall-ms",
-        "events/sec",
-        "sh-rounds"
+        "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12} {:>12}",
+        "workload", "algorithm", "runs", "events", "peak-heap", "wall-ms", "events/sec"
     );
     for r in records {
         let _ = writeln!(
             out,
-            "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12.2} {:>12.0} {:>9}",
+            "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12.2} {:>12.0}",
             r.workload,
             r.algorithm,
             r.runs,
@@ -397,7 +336,6 @@ pub fn bench_table(records: &[SimBenchRecord]) -> String {
             r.peak_heap_events,
             r.wall_ns as f64 / 1e6,
             r.events_per_sec,
-            r.shard_rounds,
         );
     }
     out
@@ -482,11 +420,6 @@ pub struct CommittedRecord {
     pub mean_latency: f64,
     /// Exact-match determinism sentinel: total simulated cycles.
     pub sim_cycles: u64,
-    /// Exact-match determinism sentinel: rendezvous rounds the sharded
-    /// engine executed (0 for sequential records).  Pins the adaptive
-    /// window schedule itself — a protocol change that costs extra
-    /// synchronization rounds cannot land silently.
-    pub shard_rounds: u64,
 }
 
 /// A parsed committed `BENCH_sim.json`.
@@ -501,8 +434,8 @@ pub struct CommittedBench {
 }
 
 /// Parse a committed `BENCH_sim.json`.  Files written before the `seed`
-/// field (or the `sim_cycles` / `shard_rounds` sentinels) existed are
-/// rejected — regenerate the baseline first.
+/// field (or the `sim_cycles` sentinel) existed are rejected — regenerate
+/// the baseline first.
 pub fn parse_bench_file(text: &str) -> Result<CommittedBench, String> {
     let v: serde_json::Value = serde_json::from_str(text).map_err(|e| format!("bad JSON: {e}"))?;
     let field = |obj: &serde_json::Value, key: &str| -> Result<serde_json::Value, String> {
@@ -545,9 +478,6 @@ pub fn parse_bench_file(text: &str) -> Result<CommittedBench, String> {
             sim_cycles: field(rec, "sim_cycles")?
                 .as_u64()
                 .ok_or("`sim_cycles` not an integer")?,
-            shard_rounds: field(rec, "shard_rounds")?
-                .as_u64()
-                .ok_or("`shard_rounds` not an integer")?,
         });
     }
     if records.is_empty() {
@@ -618,12 +548,6 @@ pub fn compare_bench(
                 c.workload, c.algorithm, f.sim_cycles, c.sim_cycles
             ));
         }
-        if f.shard_rounds != c.shard_rounds {
-            failures.push(format!(
-                "{} [{}]: shard_rounds {} != committed {} (window-schedule sentinel)",
-                c.workload, c.algorithm, f.shard_rounds, c.shard_rounds
-            ));
-        }
     }
     if matched_wall > 0 && committed.overall_events_per_sec > 0.0 {
         let fresh_overall = matched_events as f64 * 1e9 / matched_wall as f64;
@@ -677,135 +601,6 @@ pub fn observer_overhead_failures(fresh: &[SimBenchRecord], min_ratio: f64) -> V
     failures
 }
 
-/// Split a sharded workload id (`<base>_sh<k>`) into its base id and shard
-/// count; `None` for sequential ids.
-pub fn shard_suffix(id: &str) -> Option<(&str, usize)> {
-    let at = id.rfind("_sh")?;
-    let count: usize = id[at + 3..].parse().ok()?;
-    (count >= 2).then(|| (&id[..at], count))
-}
-
-/// Bit-identity between every sharded record (`<base>_sh<k>`) and its
-/// sequential base: the deterministic sentinels that survive merging —
-/// `events_processed`, `events_scheduled`, `mean_latency` — must match
-/// **exactly** within one fresh run.  (`peak_heap_events` is exempt: a
-/// sharded run keeps several smaller per-shard queues, so its high-water
-/// mark is genuinely different.)  Any mismatch means the sharded engine
-/// diverged from the sequential one.
-pub fn shard_identity_failures(fresh: &[SimBenchRecord]) -> Vec<String> {
-    let mut failures = Vec::new();
-    for sharded in fresh {
-        let Some((base_id, _)) = shard_suffix(&sharded.workload) else {
-            continue;
-        };
-        let Some(base) = fresh
-            .iter()
-            .find(|r| r.workload == base_id && r.algorithm == sharded.algorithm)
-        else {
-            failures.push(format!(
-                "{}: sequential base record '{base_id}' missing",
-                sharded.workload
-            ));
-            continue;
-        };
-        if sharded.events_processed != base.events_processed
-            || sharded.events_scheduled != base.events_scheduled
-        {
-            failures.push(format!(
-                "{} [{}]: event totals ({}, {}) != sequential ({}, {}) — sharded run diverged",
-                sharded.workload,
-                sharded.algorithm,
-                sharded.events_processed,
-                sharded.events_scheduled,
-                base.events_processed,
-                base.events_scheduled,
-            ));
-        }
-        if sharded.mean_latency.to_bits() != base.mean_latency.to_bits() {
-            failures.push(format!(
-                "{} [{}]: mean_latency {} != sequential {} — sharded run diverged",
-                sharded.workload, sharded.algorithm, sharded.mean_latency, base.mean_latency,
-            ));
-        }
-    }
-    failures
-}
-
-/// Enforce wall-clock speedup floors for sharded records: for each
-/// `(sharded_id, min_speedup)`, the sharded record's throughput must be at
-/// least `min_speedup` × its sequential base's.  Only meaningful on a
-/// machine with at least as many cores as shards — the caller gates on
-/// `std::thread::available_parallelism()`.
-pub fn shard_speedup_failures(fresh: &[SimBenchRecord], floors: &[(String, f64)]) -> Vec<String> {
-    let mut failures = Vec::new();
-    for (id, min_speedup) in floors {
-        let Some((base_id, _)) = shard_suffix(id) else {
-            failures.push(format!("{id}: not a sharded workload id"));
-            continue;
-        };
-        let Some(sharded) = fresh.iter().find(|r| &r.workload == id) else {
-            failures.push(format!("{id}: sharded record missing from fresh run"));
-            continue;
-        };
-        let Some(base) = fresh
-            .iter()
-            .find(|r| r.workload == base_id && r.algorithm == sharded.algorithm)
-        else {
-            failures.push(format!("{id}: sequential base '{base_id}' missing"));
-            continue;
-        };
-        if base.events_per_sec <= 0.0 {
-            continue;
-        }
-        let speedup = sharded.events_per_sec / base.events_per_sec;
-        if speedup < *min_speedup {
-            failures.push(format!(
-                "{id}: {speedup:.2}x speedup over '{base_id}' below the {min_speedup:.2}x floor \
-                 ({:.0} vs {:.0} events/sec)",
-                sharded.events_per_sec, base.events_per_sec,
-            ));
-        }
-    }
-    failures
-}
-
-/// Barrier-efficiency gate: every sharded record (`<base>_sh<k>`) must keep
-/// its rendezvous rounds per simulated cycle at or under
-/// `max_rounds_per_cycle`, and must have executed at least one round (zero
-/// rounds on a sharded id means the record never actually sharded).  The
-/// figure is deterministic — the adaptive window schedule depends only on
-/// the workload and the shard plan — so the ceiling is exact, not a noise
-/// band: a protocol regression that stops coalescing windows (one round
-/// per lookahead window again) blows straight through it.
-pub fn barrier_efficiency_failures(
-    fresh: &[SimBenchRecord],
-    max_rounds_per_cycle: f64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    for rec in fresh {
-        if shard_suffix(&rec.workload).is_none() {
-            continue;
-        }
-        if rec.shard_rounds == 0 {
-            failures.push(format!(
-                "{}: sharded record executed zero rendezvous rounds — the run never sharded",
-                rec.workload
-            ));
-            continue;
-        }
-        let per_cycle = rec.rounds_per_sim_cycle();
-        if per_cycle > max_rounds_per_cycle {
-            failures.push(format!(
-                "{}: {per_cycle:.6} rendezvous rounds per simulated cycle exceeds the \
-                 {max_rounds_per_cycle:.6} ceiling ({} rounds over {} cycles) — window \
-                 coalescing regressed",
-                rec.workload, rec.shard_rounds, rec.sim_cycles
-            ));
-        }
-    }
-    failures
-}
-
 /// Minimal `--flag value` argument lookup.
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
@@ -839,8 +634,6 @@ mod tests {
             events_per_sec: 0.0,
             mean_latency: 123.5,
             sim_cycles: 50_000,
-            shard_rounds: 0,
-            shard_stall_ns: 0,
         }
     }
 
@@ -861,7 +654,6 @@ mod tests {
             peak_heap_events: f.peak_heap_events,
             mean_latency: f.mean_latency,
             sim_cycles: f.sim_cycles,
-            shard_rounds: f.shard_rounds,
         }
     }
 
@@ -879,34 +671,11 @@ mod tests {
         c.records[0].events_scheduled += 1;
         c.records[0].mean_latency += 0.5;
         c.records[0].sim_cycles += 1;
-        c.records[0].shard_rounds += 1;
         let fails = compare_bench(&c, &f, 0.75);
-        assert_eq!(fails.len(), 4, "{fails:?}");
+        assert_eq!(fails.len(), 3, "{fails:?}");
         assert!(fails[0].contains("events_scheduled"));
         assert!(fails[1].contains("mean_latency"));
         assert!(fails[2].contains("sim_cycles"));
-        assert!(fails[3].contains("shard_rounds"));
-    }
-
-    #[test]
-    fn barrier_efficiency_gate_holds_rounds_per_cycle_under_the_ceiling() {
-        let mut sharded = fresh("big_sh4", 1000, 1000);
-        sharded.shard_rounds = 500; // 500 rounds / 50_000 cycles = 0.01
-        let sequential = fresh("big", 1000, 1000); // zero rounds: exempt
-        let records = vec![sequential, sharded.clone()];
-        assert_eq!(
-            barrier_efficiency_failures(&records, 0.02),
-            Vec::<String>::new()
-        );
-        // Over the ceiling: a loud coalescing-regression diagnostic.
-        let fails = barrier_efficiency_failures(&records, 0.005);
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("coalescing regressed"), "{fails:?}");
-        // A sharded id with zero rounds never actually sharded.
-        sharded.shard_rounds = 0;
-        let fails = barrier_efficiency_failures(&[sharded], 0.02);
-        assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("never sharded"), "{fails:?}");
     }
 
     #[test]
@@ -921,7 +690,6 @@ mod tests {
             peak_heap_events: 1,
             mean_latency: 0.0,
             sim_cycles: 1,
-            shard_rounds: 0,
         });
         // Committed overall is 10x what the fresh records achieve.
         let fresh_overall = 1000.0 * 1e9 / 1_000_000.0;

@@ -83,11 +83,9 @@ pub struct RunSummary {
 /// across cells, so nesting per-trial workers would only oversubscribe).
 pub fn run_cell(cell: &Cell) -> Result<Vec<TrialOutcome>, String> {
     let topo = parse_topology(&cell.topo)?;
-    let mut cfg = SimConfig::paragon_like();
-    cfg.shards = cell.shards.max(1);
     Ok(run_trials_detailed(
         topo.as_ref(),
-        &cfg,
+        &SimConfig::paragon_like(),
         cell.algorithm,
         cell.k,
         cell.bytes,

@@ -54,11 +54,6 @@ pub struct CampaignSpec {
     pub ks: Vec<usize>,
     /// Message sizes in bytes.
     pub sizes: Vec<u64>,
-    /// Shards per cell simulation (default 1 = sequential).  Sharded runs
-    /// are bit-identical to sequential ones, so this is purely an
-    /// execution hint — it does not enter cell keys, and stores written
-    /// with different shard counts interoperate.
-    pub shards: usize,
     /// Optional per-cell wall-clock budget in milliseconds.
     pub budget_ms: Option<u64>,
     /// Optional figure mapping for the aggregation pass.
@@ -169,7 +164,6 @@ impl Deserialize for CampaignSpec {
             })?,
             ks: list_field(fields, "ks", as_usize)?,
             sizes: list_field(fields, "sizes", as_u64)?,
-            shards: u64_field(fields, "shards", 1)? as usize,
             budget_ms: match opt_field(fields, "budget_ms") {
                 None | Some(Value::Null) => None,
                 Some(v) => Some(
@@ -210,9 +204,6 @@ impl CampaignSpec {
         if self.trials == 0 {
             return Err("trials must be at least 1".into());
         }
-        if self.shards == 0 {
-            return Err("shards must be at least 1".into());
-        }
         for t in &self.topos {
             let topo = parse_topology(t)?;
             let n = topo.graph().n_nodes();
@@ -242,10 +233,9 @@ pub struct Cell {
     pub trials: usize,
     /// Campaign base seed.
     pub seed: u64,
-    /// Shards for the cell's simulations.  An execution hint only —
-    /// sharded results are bit-identical to sequential, so this field is
-    /// deliberately **excluded** from [`Cell::key`]: a resumed campaign
-    /// reuses cells recorded at any shard count.
+    /// Always 1 and read by nothing; not part of [`Cell::key`].  Kept only
+    /// because the benchmark under `perfbench/` still reads it; delete it
+    /// once the benchmark stops.
     pub shards: usize,
 }
 
@@ -281,7 +271,7 @@ pub fn expand(spec: &CampaignSpec) -> Vec<Cell> {
                         bytes,
                         trials: spec.trials,
                         seed: spec.seed,
-                        shards: spec.shards,
+                        shards: 1,
                     });
                 }
             }

@@ -41,7 +41,6 @@ fn build_spec(
         algorithms: Algorithm::ALL[..nalgs].to_vec(),
         ks,
         sizes,
-        shards: 1,
         budget_ms: None,
         figure: None,
     }

@@ -408,10 +408,6 @@ fn build_cfg(a: &Args) -> Result<SimConfig, CliError> {
     let mut cfg = SimConfig::paragon_like();
     cfg.addr_bytes = a.num("addr-bytes", cfg.addr_bytes)?;
     cfg.buffer_flits = a.num("buffer-flits", cfg.buffer_flits)?;
-    cfg.shards = a.num("shards", cfg.shards)?;
-    if cfg.shards == 0 {
-        return Err(err("--shards must be at least 1"));
-    }
     if a.has("no-adaptive") {
         cfg.adaptive = false;
     }
@@ -447,38 +443,7 @@ fn cmd_run(a: &Args) -> Result<String, CliError> {
         ..RunOptions::default()
     };
     let parts = random_placement(n, k, seed);
-    let sharded_before = flitsim::metrics::SHARDED_RUNS.get();
-    // `--counters`: attach the counting observer — the one observer arm
-    // the sharded engine accumulates per shard and merges exactly, so the
-    // differential gate can exercise observed sharded runs.
-    let observer = a.has("counters").then(flitsim::TraceSink::counters);
-    let out = optmc::run_multicast_observed(
-        topo.as_ref(),
-        &cfg,
-        alg,
-        &parts,
-        parts[0],
-        bytes,
-        &opts,
-        observer,
-    );
-
-    // `--fingerprint`: print the canonical SimResult JSON and nothing else
-    // — the substrate of the sequential-vs-sharded differential gate in
-    // scripts/check.sh.  A sharded invocation that silently fell back to
-    // the sequential engine would make that comparison vacuous, so it is
-    // an error here, naming the engine's concrete fallback reason.
-    if a.has("fingerprint") {
-        if cfg.shards > 1 && flitsim::metrics::SHARDED_RUNS.get() == sharded_before {
-            let reason = flitsim::metrics::last_shard_fallback()
-                .unwrap_or("workload below the conservative-window floor");
-            return Err(err(format!(
-                "--shards {} requested but the sharded engine did not engage: {reason}",
-                cfg.shards
-            )));
-        }
-        return Ok(format!("{}\n", out.sim.fingerprint()));
-    }
+    let out = optmc::run_multicast_opts(topo.as_ref(), &cfg, alg, &parts, parts[0], bytes, &opts);
 
     let mut text = String::new();
     let _ = writeln!(

@@ -56,7 +56,7 @@ USAGE:
                   [--gap G | --mean-gap F] [--seed S] [--disjoint]
                   [--cert-out FILE] [--json]
   optmc run       --topo SPEC --alg ALG --nodes K --bytes B [--seed S] [--temporal] [--trace]
-                  [--trace-limit N] [--shards N] [--counters] [--fingerprint]
+                  [--trace-limit N]
   optmc inspect   --topo SPEC --alg ALG --nodes K --bytes B [--seed S] [--temporal]
                   [--trace-out FILE] [--format perfetto|jsonl|text] [--trace-limit N]
                   [--heatmap] [--heatmap-out FILE] [--telemetry-out FILE[.prom]]
@@ -86,17 +86,8 @@ ALG:
   opt-arch | u-arch | opt-tree | binomial | sequential
 
 COMMON SIM FLAGS:
-  Every simulating command also accepts --addr-bytes B, --buffer-flits F,
-  --no-adaptive and --shards N.  --shards N (N > 1) partitions the flit
-  engine across N worker threads with adaptive conservative-window sync
-  (per-neighbor earliest-input-time promises); the results are
-  bit-identical to the sequential engine, and runs the window bounds
-  cannot cover (tiny messages, event-by-event traced runs) fall back to
-  sequential — counting observers ('run --counters') shard fine.
-  'run --fingerprint' prints the run's canonical SimResult JSON instead of
-  the report (and, with --shards > 1, fails with the concrete fallback
-  reason if the sharded engine fell back) — the substrate of the
-  differential gate in scripts/check.sh.
+  Every simulating command also accepts --addr-bytes B, --buffer-flits F
+  and --no-adaptive.
 
 CHECK:
   Static verification with rustc-style diagnostics: channel-dependency-graph

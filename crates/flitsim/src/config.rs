@@ -69,14 +69,8 @@ pub struct SimConfig {
     /// everything.  Ignored when a custom observer is installed via
     /// [`crate::Engine::set_observer`].
     pub trace_limit: Option<usize>,
-    /// Worker threads for [`crate::Engine::run_auto`]: the topology is
-    /// partitioned into this many shards, each running its own event queue
-    /// over its sub-topology, synchronised in conservative time windows.
-    /// Results are bit-identical to a sequential run.  `1` (the default)
-    /// runs sequentially; configurations the sharded engine cannot honor
-    /// exactly (tracing observers, worms short enough to violate its
-    /// release-lookahead precondition) fall back to the sequential path and
-    /// bump the `flitsim_shard_fallbacks_total` counter.
+    /// Always 1 and read by nothing.  Kept only because the benchmark under
+    /// `perfbench/` still assigns it; delete it once the benchmark stops.
     pub shards: usize,
     /// Software overheads.
     pub software: SoftwareModel,

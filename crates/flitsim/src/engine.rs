@@ -20,8 +20,7 @@ use topo::{ChannelId, NetworkGraph, NodeId, RouteTable, Topology};
 use crate::config::SimConfig;
 use crate::equeue::{EventQueue, ENTRY_BYTES};
 use crate::obs::{Observer, RunMeta, TraceSink};
-use crate::program::{Program, SendReq, ShardProgram};
-use crate::shard::{OutMsg, ShardCtx, ShardPartial, ShardPlan, WormWire};
+use crate::program::{Program, SendReq};
 use crate::stats::{MessageRecord, SimResult};
 use crate::trace::TraceEvent;
 
@@ -54,18 +53,12 @@ struct Worm<P> {
     /// retry meant for its previous occupant.
     generation: u32,
     /// Intrinsic identity: `(src node << RANK_SHIFT) | per-node issue
-    /// counter`.  Unlike the slab index, the rank depends only on *what*
-    /// the worm is (the n-th send issued by its node), never on how the
-    /// event loop interleaved unrelated work — which is what lets the
-    /// sharded engine order events identically to the sequential one.
+    /// counter`, the tie-break among a worm's equal-time events.  Unlike
+    /// the slab index, the rank depends only on *what* the worm is (the
+    /// n-th send issued by its node), never on slot reuse — which the
+    /// observer choice switches off — so no observer can change the event
+    /// order.
     rank: u64,
-    /// Sharded runs only: bitmask of the shards owning channels this worm
-    /// still holds but this shard does not — nonzero exactly for worms
-    /// that migrated in, whose drain will emit cross-shard releases
-    /// toward exactly these shards.  Shard ids ≥ 64 saturate the whole
-    /// mask (`u64::MAX`, "could release anywhere"), keeping the bound
-    /// conservative without widening the hot struct.
-    foreign_owners: u64,
 }
 
 /// Bits of a worm rank holding the per-node issue counter; the node id
@@ -125,15 +118,9 @@ impl Event {
     }
 }
 
-/// One recorded [`Engine::start`] call — `(node, inject time, sends)`.
-/// Injection is deferred so [`Engine::run_auto`] can inspect the workload
-/// and route each start to its home shard before anything enqueues.
-pub(crate) type StartRec<P> = (NodeId, Time, Vec<SendReq<P>>);
-
 /// The simulator. Create, [`Engine::start`] the initial sends, then
 /// [`Engine::run`].
 pub struct Engine<'t, Prog: Program> {
-    topo: &'t dyn Topology,
     graph: &'t NetworkGraph,
     routes: &'t RouteTable,
     cfg: SimConfig,
@@ -169,19 +156,6 @@ pub struct Engine<'t, Prog: Program> {
     events_processed: u64,
     events_scheduled: u64,
     peak_heap: usize,
-    /// Initial sends recorded by [`Engine::start`], injected when the run
-    /// begins.  Deferring the injection lets [`Engine::run_auto`] inspect
-    /// the workload (and route each start to its home shard) first.
-    starts: Vec<StartRec<Prog::Payload>>,
-    /// Longest possible worm path in channels ([`Topology::max_path_channels`]),
-    /// the constant behind the sharded engine's release-lookahead bound.
-    max_path: usize,
-    /// Present while running as one shard of a sharded run.
-    shard: Option<Box<ShardCtx<Prog::Payload>>>,
-    /// Sharded runs only: the intrinsic rank of each delivered message's
-    /// worm, parallel to `messages` — the merge key that reconstructs the
-    /// sequential completion order across shards.
-    message_ranks: Vec<u64>,
 }
 
 impl Event {
@@ -223,10 +197,8 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             (true, Some(limit)) => TraceSink::memory_limited(limit),
         };
         Self {
-            topo,
             graph: g,
             routes: topo.route_table(),
-            max_path: topo.max_path_channels(),
             cfg,
             program,
             worms: Vec::new(),
@@ -263,9 +235,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             events_processed: 0,
             events_scheduled: 0,
             peak_heap: 0,
-            starts: Vec::new(),
-            shard: None,
-            message_ranks: Vec::new(),
         }
     }
 
@@ -277,43 +246,32 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     }
 
     /// Queue initial sends on `node` starting at time `at` (the multicast
-    /// root's first round).  Recorded here, injected when the run begins.
+    /// root's first round).
     pub fn start(&mut self, node: NodeId, at: Time, sends: Vec<SendReq<Prog::Payload>>) {
-        for s in &sends {
-            assert_ne!(s.dest, node, "node {node:?} may not send to itself");
-        }
-        if !sends.is_empty() {
-            self.starts.push((node, at, sends));
-        }
+        self.enqueue_sends(node, at, sends);
     }
 
-    /// Inject the recorded initial sends into the node queues.
-    pub(crate) fn drain_starts(&mut self) {
-        for (node, at, sends) in std::mem::take(&mut self.starts) {
-            self.enqueue_sends(node, at, sends);
+    /// Run to completion; returns the program (for inspection) and the
+    /// result.
+    pub fn run(mut self) -> (Prog, SimResult) {
+        let wall_start = std::time::Instant::now();
+        let observing = self.obs.enabled();
+        while let Some((t, _ord, ev)) = self.queue.pop() {
+            self.finish = self.finish.max(t);
+            self.events_processed += 1;
+            match Event::unpack(ev) {
+                Event::Release(c) => self.on_release(ChannelId(c), t),
+                Event::NodeKick(n) => self.on_kick(NodeId(n), t),
+                Event::WormStart(w) | Event::HeadAdvance(w) => self.on_advance(w, t),
+                Event::RecvSoftware(w) => self.on_recv_software(w, t),
+                Event::RecvDone(w) => self.on_recv_done(w, t),
+            }
+            if observing {
+                self.obs.on_tick(t, self.events_processed);
+            }
         }
-    }
-
-    /// Pop-and-handle one event.
-    #[inline]
-    fn dispatch(&mut self, t: Time, ev: u64, observing: bool) {
-        self.finish = self.finish.max(t);
-        self.events_processed += 1;
-        match Event::unpack(ev) {
-            Event::Release(c) => self.on_release(ChannelId(c), t),
-            Event::NodeKick(n) => self.on_kick(NodeId(n), t),
-            Event::WormStart(w) | Event::HeadAdvance(w) => self.on_advance(w, t),
-            Event::RecvSoftware(w) => self.on_recv_software(w, t),
-            Event::RecvDone(w) => self.on_recv_done(w, t),
-        }
-        if observing {
-            self.obs.on_tick(t, self.events_processed);
-        }
-    }
-
-    /// Always-on end-of-run integrity checks: a violation is an engine bug,
-    /// and the scans are trivially cheap relative to a run.
-    fn integrity_checks(&self) {
+        // Always-on integrity checks: a violation is an engine bug, and the
+        // scans are trivially cheap relative to a run.
         assert!(
             self.worms.iter().all(|w| w.phase == Phase::Done),
             "run ended with undelivered worms (deadlock?)"
@@ -330,18 +288,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             self.nodes.iter().all(|n| n.queue.is_empty()),
             "run ended with queued sends never issued"
         );
-    }
-
-    /// Run to completion; returns the program (for inspection) and the
-    /// result.
-    pub fn run(mut self) -> (Prog, SimResult) {
-        let wall_start = std::time::Instant::now();
-        self.drain_starts();
-        let observing = self.obs.enabled();
-        while let Some((t, _ord, ev)) = self.queue.pop() {
-            self.dispatch(t, ev, observing);
-        }
-        self.integrity_checks();
         let wall_ns = wall_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let sink = self.obs.finish();
         // Peak heap estimate: pending events dominate, plus live worm and
@@ -403,6 +349,13 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         (self.program, result)
     }
 
+    /// The same as [`Engine::run`].  Kept only because the benchmark under
+    /// `perfbench/` still calls it; delete it once the benchmark calls
+    /// `run`.
+    pub fn run_auto(self) -> (Prog, SimResult) {
+        self.run()
+    }
+
     /// The event's intrinsic ordering key: `prio | kind | entity rank`.
     /// Entity ranks — a channel id, a node id, or the worm's birth rank —
     /// are unique per instant within their kind (one pending release per
@@ -422,17 +375,10 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         (u64::from(e.priority()) << 63) | (e.kind_rank() << 56) | rank
     }
 
-    /// Insert without counting: cross-shard deliveries use this so an event
-    /// is tallied in `events_scheduled` exactly once (at emission), keeping
-    /// the shard-summed total equal to the sequential engine's.
-    fn insert(&mut self, t: Time, e: Event) {
-        self.queue.push(t, self.ord_of(e), e.pack());
-        self.peak_heap = self.peak_heap.max(self.queue.len());
-    }
-
     fn schedule(&mut self, t: Time, e: Event) {
         self.events_scheduled += 1;
-        self.insert(t, e);
+        self.queue.push(t, self.ord_of(e), e.pack());
+        self.peak_heap = self.peak_heap.max(self.queue.len());
     }
 
     fn enqueue_sends(&mut self, node: NodeId, now: Time, sends: Vec<SendReq<Prog::Payload>>) {
@@ -486,18 +432,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             self.schedule(at, Event::NodeKick(node.0));
         }
         let flits = self.cfg.flits(req.bytes);
-        if let Some(ctx) = &self.shard {
-            // Condition C (DESIGN.md §15): every release a worm causes must
-            // land strictly in the future, or conservative windows cannot
-            // reproduce the sequential order.  `run_auto` pre-checks the
-            // initial sends; this catches program-generated ones.
-            assert!(
-                flits >= ctx.plan.min_flits,
-                "sharded run issued a {flits}-flit worm; worms shorter than \
-                 {} flits violate the release-lookahead bound (condition C)",
-                ctx.plan.min_flits
-            );
-        }
         let issued = {
             let ns = &mut self.nodes[node.idx()];
             let i = ns.issued;
@@ -529,7 +463,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             worm.phase = Phase::Climbing;
             worm.retry_scheduled = false;
             worm.rank = rank;
-            worm.foreign_owners = 0;
             slot
         } else {
             let w = self.worms.len() as u32;
@@ -551,7 +484,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 retry_scheduled: false,
                 generation: 0,
                 rank,
-                foreign_owners: 0,
             });
             w
         };
@@ -671,17 +603,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             self.obs.on_inject_start(t, w, c);
         }
         if let Some(rel) = tail_release {
-            if let Some(ctx) = &self.shard {
-                // Climbing tail releases fire at the present instant, which
-                // no conservative window could ship across a boundary in
-                // time — condition C guarantees the span covers the whole
-                // path, so a sharded worm never releases while climbing.
-                assert_eq!(
-                    ctx.plan.chan_shard[rel.idx()] as usize,
-                    ctx.id as usize,
-                    "climbing tail release crossed a shard boundary (condition C violated)"
-                );
-            }
             self.schedule(t, Event::Release(rel.0));
         }
         let rd = self.cfg.router_delay;
@@ -706,86 +627,14 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             }));
             worm.release_ptr = p;
             for &(rel_at, ch) in &pending {
-                match self.remote_channel_owner(ChannelId(ch)) {
-                    Some(owner) => {
-                        // The owner applies its own `acquired_at + 1` floor
-                        // on delivery — same clamp, same state, same time.
-                        self.events_scheduled += 1;
-                        self.emit(
-                            owner,
-                            OutMsg::Release {
-                                t: rel_at,
-                                chan: ch,
-                            },
-                        );
-                    }
-                    None => {
-                        let floor = self.channels[ch as usize].acquired_at + 1;
-                        self.schedule(rel_at.max(floor), Event::Release(ch));
-                    }
-                }
+                let floor = self.channels[ch as usize].acquired_at + 1;
+                self.schedule(rel_at.max(floor), Event::Release(ch));
             }
             self.pending_scratch = pending;
             self.schedule(tail_consumed, Event::RecvSoftware(w));
         } else {
-            let next = g
-                .dst_router(c)
-                .expect("non-consumption channel feeds a router");
-            match self.remote_router_owner(next) {
-                Some(owner) => self.emit_migration(w, t + rd, owner),
-                None => self.schedule(t + rd, Event::HeadAdvance(w)),
-            }
+            self.schedule(t + rd, Event::HeadAdvance(w));
         }
-    }
-
-    /// The shard that owns `c`, when sharded and it is not this one.
-    #[inline]
-    fn remote_channel_owner(&self, c: ChannelId) -> Option<usize> {
-        let ctx = self.shard.as_deref()?;
-        let s = ctx.plan.chan_shard[c.idx()];
-        (s != ctx.id).then_some(s as usize)
-    }
-
-    /// The shard that owns router `r`, when sharded and it is not this one.
-    #[inline]
-    fn remote_router_owner(&self, r: topo::RouterId) -> Option<usize> {
-        let ctx = self.shard.as_deref()?;
-        let s = ctx.plan.router_shard[r.idx()];
-        (s != ctx.id).then_some(s as usize)
-    }
-
-    fn emit(&mut self, dst: usize, msg: OutMsg<Prog::Payload>) {
-        self.shard.as_mut().expect("sharded").outbox[dst].push(msg);
-    }
-
-    /// The worm's head just acquired a channel into a router owned by shard
-    /// `dst`: pack it onto the wire and retire the local slot.  The next
-    /// head movement (`HeadAdvance` at `at`) happens over there; its
-    /// `events_scheduled` tally is taken here, at emission.
-    fn emit_migration(&mut self, w: u32, at: Time, dst: usize) {
-        self.events_scheduled += 1;
-        let worm = &mut self.worms[w as usize];
-        debug_assert!(worm.block_start.is_none(), "migrating worm still blocked");
-        let wire = WormWire {
-            src: worm.src,
-            dest: worm.dest,
-            bytes: worm.bytes,
-            flits: worm.flits,
-            payload: worm.payload.take(),
-            path: std::mem::take(&mut worm.path),
-            release_ptr: worm.release_ptr,
-            initiated: worm.initiated,
-            injected: worm.injected,
-            blocked: worm.blocked,
-            rank: worm.rank,
-        };
-        // Retire the local slot exactly as a delivery would: stale waiter
-        // entries (there are none — see the purge in `on_advance`) die with
-        // the generation, and the slot is free for reuse.
-        worm.phase = Phase::Done;
-        worm.generation = worm.generation.wrapping_add(1);
-        self.free_worms.push(w);
-        self.emit(dst, OutMsg::Migrate { t: at, worm: wire });
     }
 
     fn on_release(&mut self, c: ChannelId, t: Time) {
@@ -844,11 +693,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         debug_assert_eq!(worm.phase, Phase::Draining);
         worm.phase = Phase::Done;
         let payload = worm.payload.take().expect("payload delivered once");
-        if self.shard.is_some() {
-            // The merge key: equal-time RecvDones tie-break on worm rank in
-            // `ord_of`, so (completed, rank) reconstructs pop order.
-            self.message_ranks.push(worm.rank);
-        }
         self.messages.push(MessageRecord {
             src: worm.src,
             dest: worm.dest,
@@ -874,389 +718,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         self.obs.on_recv_done(t, w, dest);
         let sends = self.program.on_receive(dest, &payload, t);
         self.enqueue_sends(dest, t, sends);
-    }
-
-    // -----------------------------------------------------------------
-    // Sharded execution (DESIGN.md §15).  These methods are driven by
-    // `crate::shard::run_sharded`; `run_auto` is the public entry.
-
-    /// Attach this engine to a sharded run as one of its workers.
-    pub(crate) fn set_shard(&mut self, ctx: ShardCtx<Prog::Payload>) {
-        self.shard = Some(Box::new(ctx));
-    }
-
-    /// Pending events in the queue (sharded termination detection).
-    pub(crate) fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Process every pending event strictly before `horizon`.
-    pub(crate) fn run_window(&mut self, horizon: Time) {
-        let observing = self.obs.enabled();
-        while let Some((t, _ord)) = self.queue.peek_key() {
-            if t >= horizon {
-                break;
-            }
-            let (t, _ord, ev) = self.queue.pop().expect("peeked event");
-            self.dispatch(t, ev, observing);
-        }
-    }
-
-    /// This shard's outbox for `dst`, to be swapped into the mailbox matrix.
-    pub(crate) fn outbox_mut(&mut self, dst: usize) -> &mut Vec<OutMsg<Prog::Payload>> {
-        &mut self.shard.as_mut().expect("sharded").outbox[dst]
-    }
-
-    /// Fill `out[j]` with a lower bound on the earliest timestamp any
-    /// cross-shard message this shard could emit *to shard `j`* would
-    /// carry — over all pending events and every local cascade they can
-    /// trigger, considering only work already in this shard's queue
-    /// (consequences of messages other shards publish concurrently are
-    /// bounded by the window fixpoint's relay terms, not here).  The scan
-    /// walks the queue in time-banded order and stops once every reachable
-    /// destination's bound can no longer improve.
-    pub(crate) fn emission_bounds(&self, out: &mut Vec<Time>) {
-        let ctx = self.shard.as_deref().expect("sharded");
-        let plan = &ctx.plan;
-        out.clear();
-        out.resize(plan.n_shards, Time::MAX);
-        if self.queue.is_empty() || ctx.msg_dests.is_empty() {
-            return;
-        }
-        let dests = &ctx.msg_dests;
-        self.queue.scan_ordered(|t, ev| {
-            match Event::unpack(ev) {
-                // A release's only cross-shard consequence is waking a
-                // blocked worm, whose next acquisition (at this very
-                // instant) may migrate one `rd` later or start a drain.
-                // Each live waiter is bounded from its own position; stale
-                // entries and worms with a pending retry are covered by
-                // their own events, not this one.
-                Event::Release(c) => {
-                    for &(w, generation) in &self.channels[c as usize].waiters {
-                        let worm = &self.worms[w as usize];
-                        if worm.generation != generation
-                            || worm.phase != Phase::Climbing
-                            || worm.retry_scheduled
-                        {
-                            continue;
-                        }
-                        for &j in dests {
-                            let b = t.saturating_add(self.worm_eps_to(worm, j, plan));
-                            out[j] = out[j].min(b);
-                        }
-                    }
-                }
-                // Kick -> t_send -> climb from the node's injection port.
-                Event::NodeKick(n) => {
-                    for &j in dests {
-                        let b = t
-                            .saturating_add(plan.ts0)
-                            .saturating_add(plan.node_eps_to[j][n as usize]);
-                        out[j] = out[j].min(b);
-                    }
-                }
-                Event::WormStart(w) | Event::HeadAdvance(w) => {
-                    let worm = &self.worms[w as usize];
-                    for &j in dests {
-                        let b = t.saturating_add(self.worm_eps_to(worm, j, plan));
-                        out[j] = out[j].min(b);
-                    }
-                }
-                // Receive software -> completion -> program sends.
-                Event::RecvSoftware(w) => {
-                    let dest = self.worms[w as usize].dest;
-                    for &j in dests {
-                        let b = t
-                            .saturating_add(plan.tr0)
-                            .saturating_add(plan.ts0)
-                            .saturating_add(plan.node_eps_to[j][dest.idx()]);
-                        out[j] = out[j].min(b);
-                    }
-                }
-                Event::RecvDone(w) => {
-                    let dest = self.worms[w as usize].dest;
-                    for &j in dests {
-                        let b = t
-                            .saturating_add(plan.ts0)
-                            .saturating_add(plan.node_eps_to[j][dest.idx()]);
-                        out[j] = out[j].min(b);
-                    }
-                }
-            }
-            // Cutoff for the scan: every bound is `t + eps` with `eps >= 0`,
-            // so once the slot time reaches the worst reachable bound no
-            // later event can lower any of them.
-            dests.iter().map(|&j| out[j]).max().unwrap_or(0)
-        });
-    }
-
-    /// Emission lower bound toward shard `j` for a pending head movement
-    /// of `worm`, relative to the event's timestamp.
-    fn worm_eps_to(&self, worm: &Worm<Prog::Payload>, j: usize, plan: &ShardPlan) -> Time {
-        // Hops to the nearest channel crossing into `j` from the worm's
-        // position: acquiring the crossing channel emits the migration one
-        // `rd` after the last local hop, so `rd x hops` bounds that path.
-        let boundary = match worm.path.last() {
-            None => plan.node_eps_to[j][worm.src.idx()],
-            Some(&c) => match self.graph.dst_router(c) {
-                Some(r) => plan.router_eps_to[j][r.idx()],
-                // Consumption channel: the worm drained; any pending head
-                // movement is a stale retry that will emit nothing.
-                None => Time::MAX,
-            },
-        };
-        // A migrated-in worm holds channels other shards own; when it
-        // drains, their releases ship back — but only toward the shards in
-        // its owner mask.  The earliest such release (condition C) is
-        // `rd + (flits - min_flits)` after the drain starts, and the drain
-        // can start at this very event.
-        let releases_to_j = if j < 64 {
-            (worm.foreign_owners >> j) & 1 == 1
-        } else {
-            worm.foreign_owners == u64::MAX
-        };
-        if releases_to_j {
-            let slack = worm.flits.saturating_sub(plan.min_flits);
-            boundary.min(plan.rd.saturating_add(slack))
-        } else {
-            boundary
-        }
-    }
-
-    /// Apply a cross-shard handoff (called between windows; the message's
-    /// timestamp is at or after the next horizon, so insertion order never
-    /// disturbs pop order).
-    pub(crate) fn deliver(&mut self, msg: OutMsg<Prog::Payload>) {
-        match msg {
-            OutMsg::Release { t, chan } => {
-                // Same clamp the sequential engine applies when scheduling:
-                // never release before the cycle after acquisition.
-                let floor = self.channels[chan as usize].acquired_at + 1;
-                self.insert(t.max(floor), Event::Release(chan));
-            }
-            OutMsg::Migrate { t, worm: wire } => {
-                // Shards owning channels the worm still holds (everything
-                // acquired before this hop): its drain will emit releases
-                // toward exactly these shards.  Channels this shard owns
-                // release locally and stay out of the mask.
-                let foreign_owners = {
-                    let ctx = self.shard.as_deref().expect("sharded delivery");
-                    let mut mask = 0u64;
-                    for &c in &wire.path[wire.release_ptr..] {
-                        let s = ctx.plan.chan_shard[c.idx()];
-                        if s == ctx.id {
-                            continue;
-                        }
-                        if s >= 64 {
-                            mask = u64::MAX;
-                            break;
-                        }
-                        mask |= 1 << s;
-                    }
-                    mask
-                };
-                let w = if let Some(slot) = self.free_worms.pop() {
-                    let worm = &mut self.worms[slot as usize];
-                    worm.src = wire.src;
-                    worm.dest = wire.dest;
-                    worm.bytes = wire.bytes;
-                    worm.flits = wire.flits;
-                    worm.payload = wire.payload;
-                    worm.path = wire.path;
-                    worm.release_ptr = wire.release_ptr;
-                    worm.initiated = wire.initiated;
-                    worm.injected = wire.injected;
-                    worm.drain_start = 0;
-                    worm.tail_consumed = 0;
-                    worm.blocked = wire.blocked;
-                    worm.block_start = None;
-                    worm.phase = Phase::Climbing;
-                    worm.retry_scheduled = false;
-                    worm.rank = wire.rank;
-                    worm.foreign_owners = foreign_owners;
-                    slot
-                } else {
-                    let w = self.worms.len() as u32;
-                    self.worms.push(Worm {
-                        src: wire.src,
-                        dest: wire.dest,
-                        bytes: wire.bytes,
-                        flits: wire.flits,
-                        payload: wire.payload,
-                        path: wire.path,
-                        release_ptr: wire.release_ptr,
-                        initiated: wire.initiated,
-                        injected: wire.injected,
-                        drain_start: 0,
-                        tail_consumed: 0,
-                        blocked: wire.blocked,
-                        block_start: None,
-                        phase: Phase::Climbing,
-                        retry_scheduled: false,
-                        generation: 0,
-                        rank: wire.rank,
-                        foreign_owners,
-                    });
-                    w
-                };
-                self.insert(t, Event::HeadAdvance(w));
-            }
-        }
-    }
-
-    /// Wind down one shard of a sharded run: integrity checks, then the
-    /// partial sums the merge combines into the sequential-identical result.
-    pub(crate) fn finish_partial(mut self) -> (Prog, ShardPartial) {
-        self.integrity_checks();
-        let sink = self.obs.finish();
-        let peak_heap_bytes = (self.peak_heap * ENTRY_BYTES
-            + self.worms.len() * std::mem::size_of::<Worm<Prog::Payload>>()
-            + self.channels.len() * std::mem::size_of::<ChanState>()
-            + sink.events.len() * std::mem::size_of::<TraceEvent>())
-            as u64;
-        let records = std::mem::take(&mut self.messages);
-        let ranks = std::mem::take(&mut self.message_ranks);
-        debug_assert_eq!(records.len(), ranks.len());
-        let messages = ranks
-            .into_iter()
-            .zip(records)
-            .map(|(rank, m)| (m.completed, rank, m))
-            .collect();
-        (
-            self.program,
-            ShardPartial {
-                finish: self.finish,
-                messages,
-                blocked_cycles: self.blocked_cycles,
-                blocked_events: self.blocked_events,
-                channel_busy: self.channel_busy,
-                chan_busy: self.chan_busy,
-                chan_blocked: self.chan_blocked,
-                chan_acquires: self.chan_acquires,
-                counts: sink.counts,
-                events_processed: self.events_processed,
-                events_scheduled: self.events_scheduled,
-                peak_heap: self.peak_heap,
-                peak_heap_bytes,
-            },
-        )
-    }
-
-    /// Decompose into what `run_sharded` needs to build the per-shard
-    /// engines: the topology, the configuration, the program, the recorded
-    /// initial sends, and whether the observer was the counters sink.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_sharded_parts(
-        self,
-    ) -> (
-        &'t dyn Topology,
-        SimConfig,
-        Prog,
-        Vec<StartRec<Prog::Payload>>,
-        bool,
-    ) {
-        let counters = matches!(self.obs, TraceSink::Counters(_));
-        (self.topo, self.cfg, self.program, self.starts, counters)
-    }
-
-    /// Whether this engine's configuration and workload can run sharded
-    /// with bit-identical results; `Err` names the first gate that failed.
-    fn try_shard_plan(&self) -> Result<std::sync::Arc<ShardPlan>, ShardFallback> {
-        let k = self.cfg.shards;
-        if !matches!(self.obs, TraceSink::Null | TraceSink::Counters(_)) {
-            return Err(ShardFallback::Observer);
-        }
-        if k > self.graph.n_routers() {
-            return Err(ShardFallback::ShardCount);
-        }
-        if self.cfg.router_delay == 0 {
-            return Err(ShardFallback::ZeroRouterDelay);
-        }
-        if self.starts.is_empty() {
-            return Err(ShardFallback::EmptyWorkload);
-        }
-        let plan = crate::shard::build_plan(self.graph, &self.cfg, k, self.max_path);
-        let too_short = self
-            .starts
-            .iter()
-            .flat_map(|(_, _, sends)| sends)
-            .any(|s| self.cfg.flits(s.bytes) < plan.min_flits);
-        if too_short {
-            return Err(ShardFallback::TinyMessage);
-        }
-        Ok(std::sync::Arc::new(plan))
-    }
-}
-
-/// Why [`Engine::run_auto`] disengaged the sharded engine for a run that
-/// had `shards > 1` configured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardFallback {
-    /// A tracing observer (memory / ring / jsonl / custom) was attached;
-    /// only the `Null` and `Counters` sinks shard.
-    Observer,
-    /// Some worm is shorter than the condition C release-lookahead floor.
-    TinyMessage,
-    /// `router_delay == 0` leaves no cross-shard lookahead.
-    ZeroRouterDelay,
-    /// More shards requested than the topology has routers.
-    ShardCount,
-    /// No initial sends — nothing to simulate.
-    EmptyWorkload,
-}
-
-impl ShardFallback {
-    /// Human-readable reason, surfaced by `optmc run` error messages.
-    pub fn reason(self) -> &'static str {
-        match self {
-            ShardFallback::Observer => "tracing observers need the sequential engine",
-            ShardFallback::TinyMessage => {
-                "worms too short for the release-lookahead bound (condition C)"
-            }
-            ShardFallback::ZeroRouterDelay => "zero router delay leaves no cross-shard lookahead",
-            ShardFallback::ShardCount => "more shards than routers",
-            ShardFallback::EmptyWorkload => "nothing to simulate",
-        }
-    }
-
-    /// The per-reason fallback counter this gate increments.
-    fn counter(self) -> &'static telem::Counter {
-        match self {
-            ShardFallback::Observer => &crate::metrics::SHARD_FALLBACKS_OBSERVER,
-            ShardFallback::TinyMessage => &crate::metrics::SHARD_FALLBACKS_TINY_MESSAGE,
-            ShardFallback::ZeroRouterDelay => &crate::metrics::SHARD_FALLBACKS_ZERO_ROUTER_DELAY,
-            ShardFallback::ShardCount | ShardFallback::EmptyWorkload => {
-                &crate::metrics::SHARD_FALLBACKS_OTHER
-            }
-        }
-    }
-}
-
-impl<'t, Prog: ShardProgram> Engine<'t, Prog>
-where
-    Prog::Payload: Send,
-{
-    /// Run to completion with [`SimConfig::shards`] worker threads when the
-    /// configuration allows it, sequentially otherwise.  Either way the
-    /// result is identical — sharding is an execution strategy, not a
-    /// model change.
-    pub fn run_auto(self) -> (Prog, SimResult) {
-        if self.cfg.shards <= 1 {
-            return self.run();
-        }
-        match self.try_shard_plan() {
-            Ok(plan) => {
-                crate::metrics::set_last_shard_fallback(None);
-                crate::shard::run_sharded(self, plan)
-            }
-            Err(fallback) => {
-                crate::metrics::SHARD_FALLBACKS.inc();
-                fallback.counter().inc();
-                crate::metrics::set_last_shard_fallback(Some(fallback.reason()));
-                self.run()
-            }
-        }
     }
 }
 

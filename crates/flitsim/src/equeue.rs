@@ -8,11 +8,8 @@
 //! and the identity of the entity it drives (channel id, node id, or the
 //! worm's birth rank).  Intrinsic means *execution-order independent*: the
 //! key of an event never depends on how many other events were scheduled
-//! before it, only on what the event is.  That property is what lets the
-//! sharded engine (`crate::shard`) merge per-shard event streams and still
-//! pop in exactly the order the sequential engine would — a push-counter
-//! tie-break (the queue's previous contract) cannot be reproduced across
-//! concurrently executing shards, an intrinsic key can.
+//! before it, only on what the event is, so the order of equal-time events
+//! is part of the model and every `SimResult` fingerprint pins it.
 //!
 //! The engine guarantees `(t, ord)` pairs are unique: at one instant a
 //! channel has at most one pending release, a node one pending kick, and a
@@ -93,37 +90,6 @@ impl EventQueue {
         self.len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Time and ord of the earliest pending event without popping it.
-    pub fn peek_key(&self) -> Option<(Time, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        if let Some(&Reverse((t, ord, _))) = self.past.peek() {
-            return Some((t, ord));
-        }
-        if self.bucketed == 0 {
-            let &Reverse((t, ord, _)) = self.overflow.peek().expect("len accounting broke");
-            return Some((t, ord));
-        }
-        let slot = self.next_occupied();
-        let mut cur = self.slots[slot];
-        debug_assert_ne!(cur, NIL);
-        let mut best = (self.nodes[cur as usize].t, self.nodes[cur as usize].ord);
-        cur = self.nodes[cur as usize].next;
-        while cur != NIL {
-            let n = &self.nodes[cur as usize];
-            best = best.min((n.t, n.ord));
-            cur = n.next;
-        }
-        // An overflow entry can never beat a bucketed one (it lies beyond
-        // the ring window), but the past heap was already handled above.
-        Some(best)
-    }
-
     pub fn push(&mut self, t: Time, ord: u64, ev: u64) {
         self.len += 1;
         if t < self.cursor {
@@ -161,75 +127,6 @@ impl EventQueue {
             self.migrate();
         }
         Some((t, ord, ev))
-    }
-
-    /// Visit every pending event (in no particular order) — the
-    /// exhaustive oracle the [`Self::scan_ordered`] tests compare
-    /// against.
-    #[cfg(test)]
-    pub fn for_each(&self, mut f: impl FnMut(Time, u64)) {
-        for &Reverse((t, _, ev)) in self.past.iter().chain(self.overflow.iter()) {
-            f(t, ev);
-        }
-        let mut visited = 0usize;
-        for word in 0..self.occupied.len() {
-            let mut bits = self.occupied[word];
-            while bits != 0 {
-                let slot = (word << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let mut cur = self.slots[slot];
-                while cur != NIL {
-                    let n = &self.nodes[cur as usize];
-                    f(n.t, n.ev);
-                    visited += 1;
-                    cur = n.next;
-                }
-            }
-        }
-        debug_assert_eq!(visited, self.bucketed);
-    }
-
-    /// Visit pending events in time-banded order with early exit — the
-    /// sharded engine's per-destination emission scan.  `f` returns the
-    /// caller's current *cutoff*: a time at or beyond which further events
-    /// cannot change the caller's answer.  That contract is sound only for
-    /// answers monotone in event time (true for `t + eps` lower bounds
-    /// with `eps >= 0`).  Bands, earliest first:
-    ///
-    /// 1. the past heap — every entry precedes the cursor, visited in
-    ///    full (the band is unordered internally);
-    /// 2. the bucketed ring in ascending slot time — the walk stops at
-    ///    the first slot at or beyond the cutoff;
-    /// 3. the overflow heap — every entry is at `cursor + SLOTS` or
-    ///    later, so the whole band is skipped when the cutoff allows,
-    ///    visited in full otherwise.
-    pub fn scan_ordered(&self, mut f: impl FnMut(Time, u64) -> Time) {
-        let mut cutoff = Time::MAX;
-        for &Reverse((t, _, ev)) in &self.past {
-            cutoff = f(t, ev);
-        }
-        let start = (self.cursor as usize) & (SLOTS - 1);
-        let mut remaining = self.bucketed;
-        let mut step = 0usize;
-        while step < SLOTS && remaining > 0 {
-            if self.cursor.saturating_add(step as Time) >= cutoff {
-                return; // every later band is at or past the cutoff too
-            }
-            let slot = (start + step) & (SLOTS - 1);
-            let mut cur = self.slots[slot];
-            while cur != NIL {
-                let n = &self.nodes[cur as usize];
-                cutoff = f(n.t, n.ev);
-                remaining -= 1;
-                cur = n.next;
-            }
-            step += 1;
-        }
-        if !self.overflow.is_empty() && self.cursor.saturating_add(SLOTS as Time) < cutoff {
-            for &Reverse((t, _, ev)) in &self.overflow {
-                f(t, ev); // heap order is arbitrary: no further pruning possible
-            }
-        }
     }
 
     fn bucket(&mut self, t: Time, ord: u64, ev: u64) {
@@ -363,8 +260,8 @@ mod tests {
         let mut now: Time = 0;
         let mut pushed = 0usize;
         let mut ev = 0u64;
-        while pushed < pushes || !q.is_empty() {
-            let do_push = pushed < pushes && (q.is_empty() || !rng.next().is_multiple_of(3));
+        while pushed < pushes || q.len() > 0 {
+            let do_push = pushed < pushes && (q.len() == 0 || !rng.next().is_multiple_of(3));
             if do_push {
                 // Mix near-future, far-future (overflow) and, once time has
                 // advanced, past-of-cursor times (the release-clamp case).
@@ -381,10 +278,6 @@ mod tests {
                 r.push(t, ord, ev);
                 pushed += 1;
             } else {
-                assert_eq!(
-                    q.peek_key(),
-                    r.heap.peek().map(|&Reverse((t, o, _))| (t, o))
-                );
                 let got = q.pop();
                 let want = r.pop();
                 assert_eq!(got, want, "divergence at seed {seed} after {pushed} pushes");
@@ -433,71 +326,8 @@ mod tests {
         // out before anything later, at its own (unclamped) time.
         q.push(400, 2, 2);
         q.push(1001, 3, 3);
-        assert_eq!(q.peek_key(), Some((400, 2)));
         assert_eq!(q.pop(), Some((400, 2, 2)));
         assert_eq!(q.pop(), Some((1001, 3, 3)));
-    }
-
-    #[test]
-    fn for_each_visits_every_pending_event() {
-        let mut q = EventQueue::new();
-        q.push(1000, 1, 1);
-        assert_eq!(q.pop(), Some((1000, 1, 1))); // cursor at 1000
-        q.push(5, 2, 2); // past heap
-        q.push(1200, 3, 3); // bucketed
-        q.push(1_000_000, 4, 4); // overflow heap
-        let mut seen: Vec<(Time, u64)> = Vec::new();
-        q.for_each(|t, ev| seen.push((t, ev)));
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(5, 2), (1200, 3), (1_000_000, 4)]);
-    }
-
-    #[test]
-    fn scan_ordered_with_open_cutoff_visits_everything() {
-        let mut q = EventQueue::new();
-        q.push(1000, 1, 1);
-        assert_eq!(q.pop(), Some((1000, 1, 1))); // cursor at 1000
-        q.push(5, 2, 2); // past heap
-        q.push(1200, 3, 3); // bucketed
-        q.push(1_000_000, 4, 4); // overflow heap
-        let mut seen: Vec<(Time, u64)> = Vec::new();
-        q.scan_ordered(|t, ev| {
-            seen.push((t, ev));
-            Time::MAX
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(5, 2), (1200, 3), (1_000_000, 4)]);
-    }
-
-    #[test]
-    fn scan_ordered_min_bound_matches_full_scan() {
-        // Soundness property: for a monotone `min(t + eps)` answer, the
-        // early-exit scan must produce exactly what a full scan does, on
-        // arbitrary past/bucketed/overflow mixes.
-        for seed in 0..12u64 {
-            let mut rng = Lcg(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1);
-            let mut q = EventQueue::new();
-            // Advance the cursor so past-of-cursor pushes are possible.
-            q.push(2000, 0, 0);
-            q.pop();
-            for ev in 1..400u64 {
-                let t = match rng.next() % 10 {
-                    0 => 2000u64.saturating_sub(rng.next() % 500),
-                    1 => 2000 + SLOTS as Time + rng.next() % 100_000,
-                    _ => 2000 + rng.next() % 3000,
-                };
-                q.push(t, ev, ev);
-            }
-            let eps = |ev: u64| (ev.wrapping_mul(2654435761) % 900) as Time;
-            let mut want = Time::MAX;
-            q.for_each(|t, ev| want = want.min(t.saturating_add(eps(ev))));
-            let mut got = Time::MAX;
-            q.scan_ordered(|t, ev| {
-                got = got.min(t.saturating_add(eps(ev)));
-                got
-            });
-            assert_eq!(got, want, "seed {seed}");
-        }
     }
 
     #[test]

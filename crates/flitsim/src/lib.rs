@@ -67,7 +67,6 @@ pub mod metrics;
 pub mod obs;
 pub mod perfetto;
 pub mod program;
-mod shard;
 pub mod stats;
 pub mod trace;
 

@@ -42,78 +42,6 @@ counter!(
     "flitsim_channel_busy_cycles_total",
     "Busy channel-cycles across all runs"
 );
-counter!(
-    pub SHARDED_RUNS,
-    "flitsim_sharded_runs_total",
-    "Runs executed by the sharded engine"
-);
-counter!(
-    pub SHARD_FALLBACKS,
-    "flitsim_shard_fallbacks_total",
-    "Runs that requested shards but fell back to the sequential engine"
-);
-counter!(
-    pub SHARD_FALLBACKS_OBSERVER,
-    "flitsim_shard_fallbacks_observer_total",
-    "Sharded fallbacks because a tracing observer was attached"
-);
-counter!(
-    pub SHARD_FALLBACKS_TINY_MESSAGE,
-    "flitsim_shard_fallbacks_tiny_message_total",
-    "Sharded fallbacks because a worm was too short for condition C"
-);
-counter!(
-    pub SHARD_FALLBACKS_ZERO_ROUTER_DELAY,
-    "flitsim_shard_fallbacks_zero_router_delay_total",
-    "Sharded fallbacks because zero router delay leaves no lookahead"
-);
-counter!(
-    pub SHARD_FALLBACKS_OTHER,
-    "flitsim_shard_fallbacks_other_total",
-    "Sharded fallbacks for any other reason (shard count, empty workload)"
-);
-counter!(
-    pub SHARD_ROUNDS,
-    "flitsim_shard_rounds_total",
-    "Conservative time windows executed across all sharded runs"
-);
-counter!(
-    pub SHARD_MESSAGES,
-    "flitsim_shard_messages_total",
-    "Cross-shard handoff messages (migrations + remote releases)"
-);
-counter!(
-    pub SHARD_BUSY_NS,
-    "flitsim_shard_busy_ns_total",
-    "Wall time shard workers spent processing events (per-shard utilization numerator)"
-);
-counter!(
-    pub SHARD_STALL_NS,
-    "flitsim_shard_barrier_stall_ns_total",
-    "Wall time shard workers spent waiting at window barriers"
-);
-
-/// Why the most recent shard-eligible [`crate::Engine::run_auto`] in this
-/// process disengaged the sharded engine.  Written on the cold fallback
-/// path only; cleared whenever a run shards.
-static LAST_SHARD_FALLBACK: std::sync::Mutex<Option<&'static str>> = std::sync::Mutex::new(None);
-
-pub(crate) fn set_last_shard_fallback(reason: Option<&'static str>) {
-    *LAST_SHARD_FALLBACK
-        .lock()
-        .expect("fallback reason poisoned") = reason;
-}
-
-/// Why the most recent `run_auto` that had shards configured fell back to
-/// the sequential engine — `None` when the last such run actually sharded
-/// (or none ran).  Error paths surface this so users can tell *why*
-/// sharding disengaged.
-pub fn last_shard_fallback() -> Option<&'static str> {
-    *LAST_SHARD_FALLBACK
-        .lock()
-        .expect("fallback reason poisoned")
-}
-
 /// Snapshot the cumulative process-wide engine counters.
 pub fn process_snapshot() -> TelemetrySnapshot {
     let mut s = TelemetrySnapshot::new();
@@ -123,16 +51,6 @@ pub fn process_snapshot() -> TelemetrySnapshot {
     s.record(&MESSAGES);
     s.record(&BLOCKED_CYCLES);
     s.record(&CHANNEL_BUSY_CYCLES);
-    s.record(&SHARDED_RUNS);
-    s.record(&SHARD_FALLBACKS);
-    s.record(&SHARD_FALLBACKS_OBSERVER);
-    s.record(&SHARD_FALLBACKS_TINY_MESSAGE);
-    s.record(&SHARD_FALLBACKS_ZERO_ROUTER_DELAY);
-    s.record(&SHARD_FALLBACKS_OTHER);
-    s.record(&SHARD_ROUNDS);
-    s.record(&SHARD_MESSAGES);
-    s.record(&SHARD_BUSY_NS);
-    s.record(&SHARD_STALL_NS);
     s
 }
 

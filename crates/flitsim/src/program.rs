@@ -61,25 +61,6 @@ pub trait Program {
     ) -> Vec<SendReq<Self::Payload>>;
 }
 
-/// A [`Program`] that can be split across simulation shards and merged
-/// back after the run.
-///
-/// The sharded engine (DESIGN.md §15) gives every shard its own program
-/// instance so `on_receive` runs locally on the shard that owns the
-/// destination node.  `fork` must return an instance that behaves
-/// identically for `on_receive` but starts with empty *accumulated state*
-/// (delivery counters, logs); `absorb` folds a forked instance's
-/// accumulated state back into `self`.  Programs whose `on_receive`
-/// depends on which other nodes have already delivered cannot implement
-/// this faithfully and should not opt in.
-pub trait ShardProgram: Program + Send {
-    /// A behaviourally identical instance with empty accumulated state.
-    fn fork(&self) -> Self;
-
-    /// Fold a forked instance's accumulated state back into `self`.
-    fn absorb(&mut self, other: Self);
-}
-
 /// A trivial program that never forwards — point-to-point traffic only.
 /// Useful for calibration runs and engine tests.
 #[derive(Debug, Default, Clone, Copy)]
@@ -91,14 +72,6 @@ impl Program for SinkProgram {
     fn on_receive(&mut self, _node: NodeId, _payload: &(), _now: Time) -> Vec<SendReq<()>> {
         Vec::new()
     }
-}
-
-impl ShardProgram for SinkProgram {
-    fn fork(&self) -> Self {
-        SinkProgram
-    }
-
-    fn absorb(&mut self, _other: Self) {}
 }
 
 /// A relay program: forwards the message along a fixed ring of nodes a
@@ -127,12 +100,4 @@ impl Program for RelayProgram {
         let next = self.ring[(here + 1) % self.ring.len()];
         vec![SendReq::to(next, self.bytes, remaining - 1)]
     }
-}
-
-impl ShardProgram for RelayProgram {
-    fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    fn absorb(&mut self, _other: Self) {}
 }

@@ -120,9 +120,8 @@ impl SimResult {
     /// Canonical JSON for reproducibility comparisons: the full result —
     /// every message, every channel total, every deterministic meta count —
     /// with the wall-clock figures (non-deterministic) and the heap
-    /// high-water marks (an execution-strategy detail: a sharded run keeps
-    /// several smaller queues) zeroed.  A sharded run is correct iff its
-    /// fingerprint is byte-identical to the sequential run's.
+    /// high-water marks (a memory estimate, not a simulation outcome)
+    /// zeroed.
     pub fn fingerprint(&self) -> String {
         let mut canon = self.clone();
         canon.meta.peak_heap_events = 0;

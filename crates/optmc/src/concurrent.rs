@@ -84,27 +84,6 @@ impl Program for MultiMcast {
     }
 }
 
-impl flitsim::program::ShardProgram for MultiMcast {
-    fn fork(&self) -> Self {
-        Self {
-            programs: self.programs.iter().map(McastProgram::fork).collect(),
-            completed: vec![None; self.completed.len()],
-        }
-    }
-
-    fn absorb(&mut self, other: Self) {
-        for (mine, theirs) in self.programs.iter_mut().zip(other.programs) {
-            mine.absorb(theirs);
-        }
-        for (mine, theirs) in self.completed.iter_mut().zip(other.completed) {
-            *mine = match (*mine, theirs) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-        }
-    }
-}
-
 /// One multicast's specification within a concurrent batch.
 #[derive(Debug, Clone)]
 pub struct McastSpec {
@@ -184,7 +163,7 @@ pub fn run_concurrent(
             .collect();
         engine.start(root, start, tagged);
     }
-    let (multi, sim) = engine.run_auto();
+    let (multi, sim) = engine.run();
     assert_eq!(
         multi.deliveries(),
         expected,

@@ -25,7 +25,7 @@ pub fn measure_t_end(
 ) -> Time {
     let mut e = Engine::new(topo, cfg.clone(), SinkProgram);
     e.start(src, 0, vec![SendReq::to(dst, bytes, ())]);
-    let (_, r) = e.run_auto();
+    let (_, r) = e.run();
     r.messages[0].latency()
 }
 
@@ -44,7 +44,7 @@ pub fn measure_t_hold(
     let mut e = Engine::new(topo, cfg.clone(), SinkProgram);
     let sends = vec![SendReq::to(dst, bytes, ()); n];
     e.start(src, 0, sends);
-    let (_, r) = e.run_auto();
+    let (_, r) = e.run();
     let mut inits: Vec<Time> = r.messages.iter().map(|m| m.initiated).collect();
     inits.sort_unstable();
     (inits[n - 1] - inits[0]) / (n as Time - 1)

@@ -22,7 +22,6 @@ pub struct Range {
 
 /// The multicast program: the chain, the split rule and the message size —
 /// everything a node needs to interpret a received address range.
-#[derive(Clone)]
 pub struct McastProgram {
     chain: Chain,
     splits: SplitStrategy,
@@ -151,18 +150,6 @@ impl Program for McastProgram {
         self.deliveries += 1;
         let pos = self.pos_of[node.idx()].expect("delivery to a non-participant") as usize;
         self.sends_for(pos, range.lo as usize, range.hi as usize)
-    }
-}
-
-impl flitsim::program::ShardProgram for McastProgram {
-    fn fork(&self) -> Self {
-        let mut forked = self.clone();
-        forked.deliveries = 0;
-        forked
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.deliveries += other.deliveries;
     }
 }
 

@@ -196,7 +196,7 @@ pub fn run_multicast_observed(
         engine.set_observer(sink);
     }
     engine.start(root, 0, first);
-    let (program, sim) = engine.run_auto();
+    let (program, sim) = engine.run();
     assert_eq!(
         program.deliveries(),
         program.n_dests(),

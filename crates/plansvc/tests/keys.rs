@@ -20,8 +20,8 @@ fn campaign_cell_keys_are_pinned() {
         seed: 1997,
         shards: 1,
     };
-    // The exact bytes PR-3 shard stores were written with.  `shards` is an
-    // execution hint and deliberately absent from the key.
+    // The exact bytes PR-3 shard stores were written with.  `shards` is
+    // always 1 and absent from the key.
     assert_eq!(cell.key(), "mesh:8x8|u-arch|k8|b512|t2|s1997");
 }
 

@@ -248,12 +248,6 @@ impl Topology for Bmin {
     fn name(&self) -> String {
         format!("bmin-{}x2x2", self.graph.n_nodes())
     }
-
-    fn max_path_channels(&self) -> usize {
-        // Turnaround routing: up at most (stages - 1) levels and back down,
-        // plus the injection and consumption channels.
-        2 * (self.s as usize - 1) + 2
-    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,6 @@ pub mod chain;
 pub mod graph;
 pub mod mesh;
 pub mod omega;
-pub mod partition;
 pub mod route_table;
 pub mod topology;
 pub mod torus;
@@ -53,7 +52,6 @@ pub use chain::{Chain, ChainError};
 pub use graph::{Channel, ChannelId, Endpoint, NetworkGraph, NodeId, RouterId};
 pub use mesh::Mesh;
 pub use omega::Omega;
-pub use partition::Partition;
 pub use route_table::{RouteCache, RouteTable, RouteTableBuilder};
 pub use topology::{RoutingError, Topology};
 pub use torus::Torus;

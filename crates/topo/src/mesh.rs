@@ -207,12 +207,6 @@ impl Topology for Mesh {
             format!("mesh-{}-{}port", dims.join("x"), self.ports)
         }
     }
-
-    fn max_path_channels(&self) -> usize {
-        // Dimension-ordered routing: at most (side - 1) hops per dimension,
-        // plus the injection and consumption channels.
-        self.dims.iter().map(|&m| m - 1).sum::<usize>() + 2
-    }
 }
 
 #[cfg(test)]

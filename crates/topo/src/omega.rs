@@ -150,12 +150,6 @@ impl Topology for Omega {
     fn name(&self) -> String {
         format!("omega-{}", self.graph.n_nodes())
     }
-
-    fn max_path_channels(&self) -> usize {
-        // Unidirectional: every worm crosses all stages exactly once —
-        // (stages - 1) inter-stage hops plus injection and consumption.
-        self.s as usize + 1
-    }
 }
 
 #[cfg(test)]

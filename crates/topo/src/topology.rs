@@ -181,17 +181,4 @@ pub trait Topology: Send + Sync {
     fn sort_chain(&self, nodes: &mut [NodeId]) {
         nodes.sort_by_key(|&n| self.chain_key(n));
     }
-
-    /// An upper bound on the number of channels (injection and consumption
-    /// inclusive) on any deterministic path in this topology.
-    ///
-    /// The sharded engine uses this to decide whether a workload's worms are
-    /// long enough that every channel release lands strictly in the future
-    /// (DESIGN.md §15 "when sharding loses"); a tight bound admits more
-    /// workloads.  The default is the trivially safe `n_channels + 2`, which
-    /// effectively disables sharding — topologies with a known diameter
-    /// should override.
-    fn max_path_channels(&self) -> usize {
-        self.graph().n_channels() + 2
-    }
 }

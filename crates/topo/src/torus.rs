@@ -260,12 +260,6 @@ impl Topology for Torus {
         let suffix = if self.virtualized { "" } else { "-novc" };
         format!("torus-{}{suffix}", dims.join("x"))
     }
-
-    fn max_path_channels(&self) -> usize {
-        // Shortest-direction routing: at most floor(side / 2) hops per
-        // dimension, plus the injection and consumption channels.
-        self.dims.iter().map(|&m| m / 2).sum::<usize>() + 2
-    }
 }
 
 #[cfg(test)]

@@ -78,45 +78,13 @@ cargo test -q -p flitsim --test zero_alloc
 
 # Perf + determinism smoke: re-run every workload recorded in the committed
 # BENCH_sim.json (same runs, same seed).  The deterministic sentinels
-# (events_scheduled, peak_heap_events, mean_latency, sim_cycles,
-# shard_rounds) must match exactly — any drift means simulation results or
-# the adaptive window schedule changed — and overall throughput must stay
-# within 25% of the committed baseline.  The check also enforces the
-# observer-overhead budget (counters sink within 5% of NullObserver) and
-# the barrier-efficiency ceiling: every sharded record's rendezvous rounds
-# per simulated cycle stays under the window-coalescing gate, with the
-# (wall-clock, ungated) rendezvous stall fraction printed alongside.
-echo "==> bench_sim --check BENCH_sim.json (sentinels exact, throughput >= 0.75x, counters obs >= 0.95x null, barrier efficiency)"
+# (events_scheduled, peak_heap_events, mean_latency, sim_cycles) must match
+# exactly — any drift means simulation results changed — and overall
+# throughput must stay within 25% of the committed baseline.  The check
+# also enforces the observer-overhead budget (counters sink within 5% of
+# NullObserver).
+echo "==> bench_sim --check BENCH_sim.json (sentinels exact, throughput >= 0.75x, counters obs >= 0.95x null)"
 cargo run --release -q -p optmc-bench --bin bench_sim -- --check BENCH_sim.json
-
-# Sharded-engine differential gate: one workload per topology family, run
-# sequentially and under 4 shards; the canonical SimResult JSON must be
-# byte-identical (the sharded engine's core contract).  `--fingerprint`
-# with `--shards` fails by itself if the sharded engine silently fell back,
-# so a vacuous pass is impossible.  The second leg repeats the comparison
-# under the counters observer (`--counters`): counting observation must
-# shard — per-shard tallies merge deterministically — and must not perturb
-# the merged result.
-echo "==> sharded engine differential (4 shards, fingerprints byte-identical per topology, plain + counters observer)"
-for topo in mesh:16x16 torus:8x8 bmin:128 omega:64; do
-    cargo run --release -q -p optmc-cli --bin optmc -- \
-        run --topo "$topo" --alg opt-arch --nodes 12 --bytes 4096 --seed 1997 \
-        --fingerprint > "$SMOKE_DIR/fp_seq.json"
-    cargo run --release -q -p optmc-cli --bin optmc -- \
-        run --topo "$topo" --alg opt-arch --nodes 12 --bytes 4096 --seed 1997 \
-        --shards 4 --fingerprint > "$SMOKE_DIR/fp_sh4.json"
-    cmp "$SMOKE_DIR/fp_seq.json" "$SMOKE_DIR/fp_sh4.json" \
-        || { echo "sharded run diverged from sequential on $topo" >&2; exit 1; }
-    cargo run --release -q -p optmc-cli --bin optmc -- \
-        run --topo "$topo" --alg opt-arch --nodes 12 --bytes 4096 --seed 1997 \
-        --counters --fingerprint > "$SMOKE_DIR/fp_seq_cnt.json"
-    cargo run --release -q -p optmc-cli --bin optmc -- \
-        run --topo "$topo" --alg opt-arch --nodes 12 --bytes 4096 --seed 1997 \
-        --shards 4 --counters --fingerprint > "$SMOKE_DIR/fp_sh4_cnt.json"
-    cmp "$SMOKE_DIR/fp_seq_cnt.json" "$SMOKE_DIR/fp_sh4_cnt.json" \
-        || { echo "sharded counters-observed run diverged from sequential on $topo" >&2; exit 1; }
-    echo "    $topo: identical (plain + counters)"
-done
 
 # Planning-service smoke: a scripted request batch served twice must answer
 # byte-identically (replay determinism through the full stdin/stdout shell),
@@ -178,12 +146,11 @@ git diff --exit-code -- \
 # checkpoint/heartbeat protocol through adversarial interleavings.  Built
 # under --cfg loom in its own target dir so the cache never mixes with the
 # normal build.
-echo "==> verify: loom model checking (telem registry, campaign pool, shard window protocol)"
+echo "==> verify: loom model checking (telem registry, campaign pool)"
 export CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom"
 cargo test -q -p loom                      # the explorer's own suite
 cargo test -q -p telem --test loom         # counter/gauge registry atomics
 cargo test -q -p campaign --test loom      # pool checkpoint/heartbeat protocol
-cargo test -q -p flitsim --test loom       # sharded-engine window/handoff protocol
 unset CARGO_TARGET_DIR RUSTFLAGS
 
 # Miri: undefined-behaviour gate for allocmeter, the workspace's only
