@@ -487,6 +487,20 @@ mod tests {
     }
 
     #[test]
+    fn unbuildable_topology_is_an_error_response_not_a_crash() {
+        // A torus side of 1 used to reach `Torus::new`'s assertion and take
+        // the whole server down; the request after it went unanswered.
+        let batch = "{\"id\": 1, \"topo\": \"torus:1x4\", \"k\": 2}\n\
+                     {\"id\": 2, \"topo\": \"mesh:4x4\", \"k\": 4}\n";
+        let (out, summary) = serve(batch, 8);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[0].contains("\"ok\":false") && lines[0].contains("\"id\":1"));
+        assert!(lines[1].contains("\"ok\":true") && lines[1].contains("\"id\":2"));
+        assert_eq!(summary.stats.errors, 1);
+    }
+
+    #[test]
     fn snapshot_round_trips_for_inspect() {
         let (_, summary) = serve(BATCH, 64);
         let snap = summary.snapshot();

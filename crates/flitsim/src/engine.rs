@@ -15,7 +15,7 @@
 use std::collections::VecDeque;
 
 use pcm::Time;
-use topo::{ChannelId, NetworkGraph, NodeId, RouteTable, Topology};
+use topo::{ChannelId, NetworkGraph, NodeId, Topology};
 
 use crate::config::SimConfig;
 use crate::equeue::{EventQueue, ENTRY_BYTES};
@@ -122,7 +122,7 @@ impl Event {
 /// [`Engine::run`].
 pub struct Engine<'t, Prog: Program> {
     graph: &'t NetworkGraph,
-    routes: &'t RouteTable,
+    topo: &'t dyn Topology,
     cfg: SimConfig,
     program: Prog,
     worms: Vec<Worm<Prog::Payload>>,
@@ -198,7 +198,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         };
         Self {
             graph: g,
-            routes: topo.route_table(),
+            topo,
             cfg,
             program,
             worms: Vec::new(),
@@ -497,7 +497,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     }
 
     /// Candidate channels for the worm's next hop, via the topology's
-    /// precomputed [`RouteTable`].
+    /// closed-form routing function (one virtual call per hop).
     fn candidates(&self, w: u32, out: &mut Vec<ChannelId>) {
         let worm = &self.worms[w as usize];
         match worm.path.last() {
@@ -509,7 +509,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                     .graph
                     .dst_router(c)
                     .expect("climbing worm sits at a router");
-                self.routes.candidates(r, worm.src, worm.dest, out);
+                self.topo.route_candidates(r, worm.src, worm.dest, out);
                 if !self.cfg.adaptive {
                     out.truncate(1);
                 }

@@ -6,11 +6,14 @@
 //! pins that property with a counting global allocator: a long point-to-point
 //! run processes hundreds more events than a short one, yet allocates at most
 //! a handful more times (first-touch growth of the path/pool buffers), i.e.
-//! allocation count does not scale with event count.
+//! allocation count does not scale with event count.  The engine routes
+//! every hop through `Topology::route_candidates`, so this also pins that
+//! mesh routing allocates nothing: a decode that allocated even once per hop
+//! would add over sixty allocations on the long run's 63-hop path.
 
 use flitsim::program::SinkProgram;
 use flitsim::{Engine, SendReq, SimConfig, SoftwareModel};
-use topo::{Mesh, NodeId, Topology};
+use topo::{Mesh, NodeId};
 
 #[global_allocator]
 static COUNTER: allocmeter::Counting = allocmeter::Counting;
@@ -49,9 +52,6 @@ fn event_processing_does_not_allocate_per_event() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let m = Mesh::new(&[64]);
-    // Build the route table outside the measured window — it is a one-time,
-    // per-topology cost shared by every engine over this instance.
-    let _ = m.route_table();
 
     let (short_events, _short_allocs) = run_line_p2p(&m, 3);
     // Second short run: buffers for this workload shape are now warm in a
@@ -86,7 +86,6 @@ fn counters_observer_and_telem_flush_do_not_allocate_per_event() {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let m = Mesh::new(&[64]);
-    let _ = m.route_table();
 
     let _ = run_line_p2p_observed(&m, 3, true); // warm buffers
     let (short_events, short_allocs) = run_line_p2p_observed(&m, 3, true);

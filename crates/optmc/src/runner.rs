@@ -57,15 +57,15 @@ impl RunOutcome {
 /// model's distance-insensitive `(t_hold, t_end)`: the mean deterministic
 /// distance from the source to each destination.
 pub fn nominal_hops(topo: &dyn Topology, participants: &[NodeId], src: NodeId) -> usize {
-    let dists: Vec<usize> = participants
-        .iter()
-        .filter(|&&n| n != src)
-        .map(|&n| topo.distance(src, n))
-        .collect();
-    if dists.is_empty() {
+    let (mut sum, mut count) = (0usize, 0usize);
+    for &n in participants.iter().filter(|&&n| n != src) {
+        sum += topo.distance(src, n);
+        count += 1;
+    }
+    if count == 0 {
         0
     } else {
-        (dists.iter().sum::<usize>() as f64 / dists.len() as f64).round() as usize
+        (sum as f64 / count as f64).round() as usize
     }
 }
 

@@ -43,6 +43,24 @@ pub struct TopoSpec {
     pub novc: bool,
 }
 
+/// The largest network a spec may name: 2^20 endpoints, counting every NI
+/// port of a multi-port mesh (the cap `hypercube:D` has always enforced).
+/// Larger specs would otherwise reach a constructor's assertion or exhaust
+/// memory instead of getting an error.
+const MAX_NODES: usize = 1 << 20;
+
+/// Node count of a `dims` network with `ports` NI ports per node, or an
+/// error when it overflows or exceeds [`MAX_NODES`].
+fn node_count(spec: &str, dims: &[usize], ports: usize) -> Result<usize, String> {
+    let nodes = dims.iter().try_fold(1usize, |n, &m| n.checked_mul(m));
+    match nodes {
+        Some(n) if n.checked_mul(ports).is_some_and(|e| e <= MAX_NODES) => Ok(n),
+        _ => Err(format!(
+            "topology '{spec}' is too large (over {MAX_NODES} nodes x ports)"
+        )),
+    }
+}
+
 fn parse_dims(kind: &str, arg: &str) -> Result<Vec<usize>, String> {
     let dims: Result<Vec<usize>, _> = arg.split('x').map(str::parse).collect();
     let dims = dims.map_err(|_| format!("bad {kind} dimensions '{arg}'"))?;
@@ -55,7 +73,8 @@ fn parse_dims(kind: &str, arg: &str) -> Result<Vec<usize>, String> {
 /// Parse a topology spec string into its structured form.
 ///
 /// Grammar: `mesh:AxB[xC…][:ports]`, `torus:AxB[xC…][:novc]`,
-/// `hypercube:D`, `bmin:N`, `omega:N` (`N` a power of two).
+/// `hypercube:D`, `bmin:N`, `omega:N` (`N` a power of two).  Torus sides
+/// are at least 2, and no spec may exceed 2^20 nodes × ports.
 pub fn parse_spec(spec: &str) -> Result<TopoSpec, String> {
     let mut parts = spec.split(':');
     let kind = parts.next().unwrap_or_default();
@@ -81,7 +100,7 @@ pub fn parse_spec(spec: &str) -> Result<TopoSpec, String> {
             };
             Ok(TopoSpec {
                 kind: SpecKind::Mesh,
-                nodes: dims.iter().product(),
+                nodes: node_count(spec, &dims, ports)?,
                 dims,
                 ports,
                 novc: false,
@@ -89,6 +108,11 @@ pub fn parse_spec(spec: &str) -> Result<TopoSpec, String> {
         }
         "torus" => {
             let dims = parse_dims(kind, arg)?;
+            if dims.contains(&1) {
+                return Err(format!(
+                    "bad torus dimensions '{arg}' (sides must be at least 2)"
+                ));
+            }
             let novc = match extra {
                 Some("novc") => true,
                 None => false,
@@ -96,7 +120,7 @@ pub fn parse_spec(spec: &str) -> Result<TopoSpec, String> {
             };
             Ok(TopoSpec {
                 kind: SpecKind::Torus,
-                nodes: dims.iter().product(),
+                nodes: node_count(spec, &dims, 1)?,
                 dims,
                 ports: 1,
                 novc,
@@ -129,6 +153,9 @@ pub fn parse_spec(spec: &str) -> Result<TopoSpec, String> {
                 return Err(format!(
                     "{kind} node count must be a power of two >= 2, got {n}"
                 ));
+            }
+            if n > MAX_NODES {
+                return Err(format!("{kind} node count {n} exceeds {MAX_NODES}"));
             }
             Ok(TopoSpec {
                 kind: if kind == "bmin" {
@@ -223,8 +250,17 @@ mod tests {
             "torus:4x4:vc9",
             "mesh:4x4:2:9",
             "hypercube:3:x",
+            // Specs whose construction would panic or exhaust memory.
+            "torus:1x4",
+            "bmin:2097152",
+            "omega:2097152",
+            "mesh:2048x1024",
+            "mesh:4294967296x4294967296",
+            "mesh:1024x1024:2",
         ] {
             assert!(parse_topology(bad).is_err(), "{bad} should fail");
         }
+        // The cap itself is accepted (parsed, not built).
+        assert_eq!(parse_spec("mesh:1024x1024").unwrap().nodes, MAX_NODES);
     }
 }

@@ -25,7 +25,6 @@
 //! preferred channel is busy (adaptive up-phase).
 
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::{RouteCache, RouteTable, RouteTableBuilder};
 use crate::topology::Topology;
 
 /// Which up-port a climbing worm prefers (the first-listed routing
@@ -55,7 +54,6 @@ pub struct Bmin {
     /// port `c` (only for `ℓ >= 1`).
     down: Vec<ChannelId>,
     policy: UpPolicy,
-    routes: RouteCache,
 }
 
 impl Bmin {
@@ -98,7 +96,6 @@ impl Bmin {
             up,
             down,
             policy,
-            routes: RouteCache::default(),
         }
     }
 
@@ -119,7 +116,9 @@ impl Bmin {
 
     /// Decompose a router id into (stage, switch index).
     pub fn stage_of(&self, r: RouterId) -> (usize, usize) {
-        (r.idx() / self.width(), r.idx() % self.width())
+        // A stage holds 2^(s-1) switches.
+        let half = self.s - 1;
+        (r.idx() >> half, r.idx() & ((1 << half) - 1))
     }
 
     /// The aligned node block covered by a switch.
@@ -171,7 +170,9 @@ impl Topology for Bmin {
 
     fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
         let (l, idx) = self.stage_of(r);
-        if self.block_of(r).contains(&dest.idx()) {
+        // `dest` is in the switch's block iff it agrees with the switch in
+        // the address bits above ℓ (see [`Bmin::block_of`]).
+        if dest.idx() >> (l + 1) == idx >> l {
             // Down phase (deterministic): port = δ_l(dest); at stage 0 that
             // is the consumption channel.
             if l == 0 {
@@ -190,54 +191,13 @@ impl Topology for Bmin {
         }
     }
 
-    fn route_table(&self) -> &RouteTable {
-        self.routes.get_or_build(|| {
-            let n = self.graph.n_nodes();
-            let w = self.width();
-            let stages = self.s as usize;
-            let mut b = RouteTableBuilder::new(self.graph.n_routers(), n);
-            for l in 0..stages {
-                for idx in 0..w {
-                    let r = RouterId((l * w + idx) as u32);
-                    // The up-port pair is a property of the switch alone;
-                    // intern it once and reference it from every
-                    // outside-block destination.
-                    let pair = (l + 1 < stages).then(|| {
-                        b.intern(&[self.up_channel(l, idx, 0), self.up_channel(l, idx, 1)])
-                    });
-                    let block = self.block_of(r);
-                    for dest in 0..n as u32 {
-                        let d = NodeId(dest);
-                        if block.contains(&d.idx()) {
-                            if l == 0 {
-                                b.fixed(r, d, self.graph.consumptions(d));
-                            } else {
-                                b.fixed(r, d, &[self.down_channel(l, idx, (d.idx() >> l) & 1)]);
-                            }
-                        } else {
-                            let pair = pair.expect("top stage covers every destination");
-                            match self.policy {
-                                // Preference flips on δ_{ℓ+1}(src).
-                                UpPolicy::Straight => b.src_bit(r, d, pair, (l + 1) as u8),
-                                // Preference is a function of dest alone.
-                                UpPolicy::DestColumn => {
-                                    let pref = (d.idx() >> (l + 1)) & 1;
-                                    b.fixed(
-                                        r,
-                                        d,
-                                        &[
-                                            self.up_channel(l, idx, pref),
-                                            self.up_channel(l, idx, 1 - pref),
-                                        ],
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            b.build()
-        })
+    fn distance(&self, src: NodeId, dst: NodeId) -> usize {
+        // Climb to the turn stage, then descend as far.
+        if src == dst {
+            0
+        } else {
+            2 * self.turn_stage(src, dst) as usize
+        }
     }
 
     fn chain_key(&self, n: NodeId) -> u64 {

@@ -11,7 +11,6 @@
 //! disjoint channels).
 
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::{RouteCache, RouteTable};
 use crate::topology::Topology;
 
 /// An n-dimensional mesh. Each node has a dedicated router; routers connect
@@ -24,7 +23,6 @@ pub struct Mesh {
     /// `links[(router * ndim + dim) * 2 + dir]`, `dir` 0 = toward higher
     /// coordinate, 1 = toward lower.
     links: Vec<Option<ChannelId>>,
-    routes: RouteCache,
 }
 
 impl Mesh {
@@ -55,34 +53,27 @@ impl Mesh {
             }
         }
         let mut links = vec![None; n * ndim * 2];
-        let dims_v = dims.to_vec();
         for r in 0..n {
-            let c = coords_of(&dims_v, r);
-            for d in 0..ndim {
-                // +1 neighbour.
-                if c[d] + 1 < dims_v[d] {
-                    let mut nc = c.clone();
-                    nc[d] += 1;
-                    let nb = index_of(&dims_v, &nc);
+            // Neighbours along dimension d sit `stride` indices away.
+            let mut stride = 1;
+            for (d, &m) in dims.iter().enumerate() {
+                let c = r / stride % m;
+                if c + 1 < m {
                     links[(r * ndim + d) * 2] =
-                        Some(b.link(RouterId(r as u32), RouterId(nb as u32)));
+                        Some(b.link(RouterId(r as u32), RouterId((r + stride) as u32)));
                 }
-                // -1 neighbour.
-                if c[d] > 0 {
-                    let mut nc = c.clone();
-                    nc[d] -= 1;
-                    let nb = index_of(&dims_v, &nc);
+                if c > 0 {
                     links[(r * ndim + d) * 2 + 1] =
-                        Some(b.link(RouterId(r as u32), RouterId(nb as u32)));
+                        Some(b.link(RouterId(r as u32), RouterId((r - stride) as u32)));
                 }
+                stride *= m;
             }
         }
         Self {
-            dims: dims_v,
+            dims: dims.to_vec(),
             ports,
             graph: b.build(),
             links,
-            routes: RouteCache::default(),
         }
     }
 
@@ -117,22 +108,14 @@ impl Mesh {
         NodeId(index_of(&self.dims, coords) as u32)
     }
 
-    /// Manhattan distance between two nodes (the e-cube hop count).
-    pub fn manhattan(&self, a: NodeId, b: NodeId) -> usize {
-        self.coords(a)
-            .iter()
-            .zip(self.coords(b))
-            .map(|(&x, y)| x.abs_diff(y))
-            .sum()
-    }
-
     fn link(&self, r: RouterId, dim: usize, toward_higher: bool) -> ChannelId {
         self.links[(r.idx() * self.dims.len() + dim) * 2 + usize::from(!toward_higher)]
             .expect("e-cube routing never walks off the mesh edge")
     }
 }
 
-fn coords_of(dims: &[usize], mut idx: usize) -> Vec<usize> {
+/// Mixed-radix digits of `idx`, dimension 0 first.
+pub(crate) fn coords_of(dims: &[usize], mut idx: usize) -> Vec<usize> {
     dims.iter()
         .map(|&m| {
             let c = idx % m;
@@ -142,7 +125,19 @@ fn coords_of(dims: &[usize], mut idx: usize) -> Vec<usize> {
         .collect()
 }
 
-fn index_of(dims: &[usize], coords: &[usize]) -> usize {
+/// The dimension-ordered chain key of node `idx`: its digits folded with
+/// dimension 0 most significant.
+pub(crate) fn dim_ordered_key(dims: &[usize], mut idx: usize) -> u64 {
+    let mut key = 0u64;
+    for &m in dims {
+        key = key * m as u64 + (idx % m) as u64;
+        idx /= m;
+    }
+    key
+}
+
+/// Inverse of [`coords_of`].
+pub(crate) fn index_of(dims: &[usize], coords: &[usize]) -> usize {
     let mut idx = 0;
     let mut stride = 1;
     for (&c, &m) in coords.iter().zip(dims) {
@@ -158,25 +153,20 @@ impl Topology for Mesh {
     }
 
     fn route_candidates(&self, r: RouterId, _src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
-        // Router r is co-located with node r in a mesh.
-        let here = coords_of(&self.dims, r.idx());
-        let there = self.coords(dest);
-        for d in 0..self.dims.len() {
-            if here[d] != there[d] {
-                out.push(self.link(r, d, there[d] > here[d]));
+        // Router r is co-located with node r in a mesh.  Decode both digit
+        // strings in place, lowest dimension first, and correct the first
+        // digit that differs.
+        let (mut here, mut there) = (r.idx(), dest.idx());
+        for (d, &m) in self.dims.iter().enumerate() {
+            let (h, t) = (here % m, there % m);
+            if h != t {
+                out.push(self.link(r, d, t > h));
                 return;
             }
+            here /= m;
+            there /= m;
         }
         out.extend_from_slice(self.graph.consumptions(dest));
-    }
-
-    fn route_table(&self) -> &RouteTable {
-        // E-cube routing ignores the source; src = dest is a placeholder.
-        self.routes.get_or_build(|| {
-            RouteTable::src_invariant(&self.graph, |r, dest, out| {
-                self.route_candidates(r, dest, dest, out);
-            })
-        })
     }
 
     fn chain_key(&self, n: NodeId) -> u64 {
@@ -187,12 +177,19 @@ impl Topology for Mesh {
         // intervals stay on disjoint channels.  (With the opposite pairing a
         // chain-downward send sweeps across the sender's row and collides
         // with up-chain traffic — verified by the contention checker.)
-        let c = self.coords(n);
-        let mut key = 0u64;
-        for (&dim, &coord) in self.dims.iter().zip(&c) {
-            key = key * dim as u64 + coord as u64;
+        dim_ordered_key(&self.dims, n.idx())
+    }
+
+    fn distance(&self, src: NodeId, dst: NodeId) -> usize {
+        // Manhattan distance: e-cube corrects every differing digit once.
+        let (mut a, mut b) = (src.idx(), dst.idx());
+        let mut sum = 0;
+        for &m in &self.dims {
+            sum += (a % m).abs_diff(b % m);
+            a /= m;
+            b /= m;
         }
-        key
+        sum
     }
 
     fn name(&self) -> String {
@@ -243,7 +240,7 @@ mod tests {
         let path = m.det_path(src, dst);
         // injection + 5 hops + consumption = 7 channels.
         assert_eq!(path.len(), 7);
-        assert_eq!(m.distance(src, dst), m.manhattan(src, dst));
+        assert_eq!(m.distance(src, dst), 5);
         // The second-to-last router channel must enter router (3,2).
         let g = m.graph();
         assert_eq!(g.dst_node(*path.last().unwrap()), Some(dst));
@@ -333,10 +330,7 @@ mod tests {
         for a in 0..32u32 {
             for b in 0..32u32 {
                 let hamming = (a ^ b).count_ones() as usize;
-                assert_eq!(h.manhattan(NodeId(a), NodeId(b)), hamming);
-                if a != b {
-                    assert_eq!(h.distance(NodeId(a), NodeId(b)), hamming);
-                }
+                assert_eq!(h.distance(NodeId(a), NodeId(b)), hamming);
             }
         }
     }

@@ -17,7 +17,6 @@
 //! last stage's output position `q` feeds node `q`.
 
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::{RouteCache, RouteTable, RouteTableBuilder};
 use crate::topology::Topology;
 
 /// An `N = 2^s` node unidirectional Omega network.
@@ -29,7 +28,6 @@ pub struct Omega {
     /// through output port `c` (for `ℓ < s-1`; the last stage uses
     /// consumption channels).
     inter: Vec<ChannelId>,
-    routes: RouteCache,
 }
 
 impl Omega {
@@ -69,7 +67,6 @@ impl Omega {
             s,
             graph: b.build(),
             inter,
-            routes: RouteCache::default(),
         }
     }
 
@@ -84,7 +81,9 @@ impl Omega {
 
     /// Decompose a router id into (stage, switch index).
     pub fn stage_of(&self, r: RouterId) -> (usize, usize) {
-        (r.idx() / self.width(), r.idx() % self.width())
+        // A stage holds 2^(s-1) switches.
+        let half = self.s - 1;
+        (r.idx() >> half, r.idx() & ((1 << half) - 1))
     }
 }
 
@@ -112,33 +111,13 @@ impl Topology for Omega {
         }
     }
 
-    fn route_table(&self) -> &RouteTable {
-        self.routes.get_or_build(|| {
-            let s = self.s as usize;
-            let w = self.width();
-            let n = self.graph.n_nodes();
-            let mut b = RouteTableBuilder::new(self.graph.n_routers(), n);
-            for l in 0..s {
-                for idx in 0..w {
-                    let r = RouterId((l * w + idx) as u32);
-                    if l == s - 1 {
-                        // Routing is only defined at the switch owning the
-                        // destination wire; other pairs stay empty (a worm
-                        // that single path never strands there).
-                        for c in 0..2 {
-                            let dest = NodeId((2 * idx + c) as u32);
-                            b.fixed(r, dest, self.graph.consumptions(dest));
-                        }
-                    } else {
-                        for dest in 0..n as u32 {
-                            let c = ((dest >> (s - 1 - l)) & 1) as usize;
-                            b.fixed(r, NodeId(dest), &[self.inter[(l * w + idx) * 2 + c]]);
-                        }
-                    }
-                }
-            }
-            b.build()
-        })
+    fn distance(&self, src: NodeId, dst: NodeId) -> usize {
+        // Every path crosses all s stages: s − 1 router-to-router hops.
+        if src == dst {
+            0
+        } else {
+            self.s as usize - 1
+        }
     }
 
     fn chain_key(&self, n: NodeId) -> u64 {

@@ -2,7 +2,6 @@
 //! to know about a network.
 
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::RouteTable;
 
 /// Why a deterministic route could not be materialised.
 ///
@@ -88,16 +87,17 @@ pub trait Topology: Send + Sync {
     /// yield exactly one candidate; the BMIN up-phase yields two.  When the
     /// worm has reached `dest`'s router the single candidate is the
     /// consumption channel.
+    ///
+    /// The simulator calls this once per hop of every worm, so every family
+    /// computes it in closed form from the router and node indices and
+    /// allocates nothing beyond what it appends to `out`.
     fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>);
 
-    /// The precomputed next-hop table for this instance, built lazily on
-    /// first use and cached for the instance's lifetime (clones share it).
-    /// Contract: [`RouteTable::candidates`] returns exactly what
-    /// [`Topology::route_candidates`] would for every (router, src, dest)
-    /// the routing function is defined on — the simulator routes through
-    /// the table, the checkers through the dynamic function, and the
-    /// differential tests in `tests/route_table.rs` pin the two together.
-    fn route_table(&self) -> &RouteTable;
+    /// Does nothing: there is no route table, every hop is routed by
+    /// [`Topology::route_candidates`].  Kept only because the benchmark
+    /// under `perfbench/` still calls it; delete it once the benchmark
+    /// stops (ROADMAP item 3, benchmark follow-up).
+    fn route_table(&self) {}
 
     /// The architecture's chain-ordering key: dimension-ordered (`<_d`) for
     /// meshes, lexicographic (binary address value) for BMINs.  Sorting nodes
@@ -166,15 +166,10 @@ pub trait Topology: Send + Sync {
         }
     }
 
-    /// Number of router-to-router hops on the deterministic path.
-    fn distance(&self, src: NodeId, dst: NodeId) -> usize {
-        if src == dst {
-            0
-        } else {
-            // path = injection + (hops between routers) + consumption.
-            self.det_path(src, dst).len().saturating_sub(2)
-        }
-    }
+    /// Number of router-to-router hops on the deterministic path
+    /// (`det_path(src, dst).len() - 2`), and 0 when `src == dst`.  Every
+    /// family gives it in closed form, without walking the path.
+    fn distance(&self, src: NodeId, dst: NodeId) -> usize;
 
     /// Sort `nodes` into this topology's chain order (stable, by
     /// [`Topology::chain_key`]).

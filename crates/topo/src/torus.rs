@@ -19,7 +19,7 @@
 //! relies on).
 
 use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::route_table::{RouteCache, RouteTable, RouteTableBuilder};
+use crate::mesh::{coords_of, dim_ordered_key, index_of};
 use crate::topology::Topology;
 
 /// An n-dimensional torus; every node has a router with two virtual
@@ -36,7 +36,6 @@ pub struct Torus {
     links: Vec<ChannelId>,
     /// False for the unvirtualized (single-VC) variant.
     virtualized: bool,
-    routes: RouteCache,
 }
 
 impl Torus {
@@ -74,36 +73,36 @@ impl Torus {
             b.injection(NodeId(i as u32), RouterId(i as u32));
             b.consumption(NodeId(i as u32), RouterId(i as u32));
         }
-        let dims_v = dims.to_vec();
         let mut links = vec![ChannelId(u32::MAX); n * ndim * 4];
         for r in 0..n {
-            let c = coords_of(&dims_v, r);
-            for d in 0..ndim {
-                for (dir, step) in [(0usize, 1isize), (1, -1)] {
-                    let m = dims_v[d] as isize;
-                    let mut nc = c.clone();
-                    nc[d] = ((c[d] as isize + step + m) % m) as usize;
-                    let nb = index_of(&dims_v, &nc);
+            // Neighbours along dimension d sit `stride` indices away, the
+            // wrap neighbour `(m - 1) * stride` away.
+            let mut stride = 1;
+            for (d, &m) in dims.iter().enumerate() {
+                let c = r / stride % m;
+                let base = r - c * stride;
+                for (dir, next) in [(0usize, (c + 1) % m), (1, (c + m - 1) % m)] {
+                    let nb = RouterId((base + next * stride) as u32);
                     if virtualized {
                         for vc in 0..2usize {
                             links[((r * ndim + d) * 2 + dir) * 2 + vc] =
-                                b.link(RouterId(r as u32), RouterId(nb as u32));
+                                b.link(RouterId(r as u32), nb);
                         }
                     } else {
-                        let ch = b.link(RouterId(r as u32), RouterId(nb as u32));
+                        let ch = b.link(RouterId(r as u32), nb);
                         for vc in 0..2usize {
                             links[((r * ndim + d) * 2 + dir) * 2 + vc] = ch;
                         }
                     }
                 }
+                stride *= m;
             }
         }
         Self {
-            dims: dims_v,
+            dims: dims.to_vec(),
             graph: b.build(),
             links,
             virtualized,
-            routes: RouteCache::default(),
         }
     }
 
@@ -128,42 +127,9 @@ impl Torus {
         NodeId(index_of(&self.dims, coords) as u32)
     }
 
-    /// Wrap-aware Manhattan distance.
-    pub fn distance_coords(&self, a: NodeId, b: NodeId) -> usize {
-        self.coords(a)
-            .iter()
-            .zip(self.coords(b))
-            .zip(&self.dims)
-            .map(|((&x, y), &m)| {
-                let d = x.abs_diff(y);
-                d.min(m - d)
-            })
-            .sum()
-    }
-
     fn link(&self, r: RouterId, d: usize, dir: usize, vc: usize) -> ChannelId {
         self.links[((r.idx() * self.dims.len() + d) * 2 + dir) * 2 + vc]
     }
-}
-
-fn coords_of(dims: &[usize], mut idx: usize) -> Vec<usize> {
-    dims.iter()
-        .map(|&m| {
-            let c = idx % m;
-            idx /= m;
-            c
-        })
-        .collect()
-}
-
-fn index_of(dims: &[usize], coords: &[usize]) -> usize {
-    let mut idx = 0;
-    let mut stride = 1;
-    for (&c, &m) in coords.iter().zip(dims) {
-        idx += c * stride;
-        stride *= m;
-    }
-    idx
 }
 
 impl Topology for Torus {
@@ -172,26 +138,29 @@ impl Topology for Torus {
     }
 
     fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
-        let here = coords_of(&self.dims, r.idx());
-        let from = self.coords(src);
-        let to = self.coords(dest);
-        for d in 0..self.dims.len() {
-            if here[d] == to[d] {
+        // Decode router (co-located with node r), source and destination
+        // digit strings in place, lowest dimension first.
+        let (mut here, mut from, mut to) = (r.idx(), src.idx(), dest.idx());
+        for (d, &m) in self.dims.iter().enumerate() {
+            let (h, f, t) = (here % m, from % m, to % m);
+            here /= m;
+            from /= m;
+            to /= m;
+            if h == t {
                 continue;
             }
-            let m = self.dims[d];
             // Direction fixed for the whole dimension by the shortest way
             // from the *source* coordinate (ties go +); recomputing from
             // `here` would agree because moving shrinks the same residue.
-            let fwd = (to[d] + m - from[d]) % m;
+            let fwd = (t + m - f) % m;
             let (dir, crossed) = if fwd <= m - fwd {
                 // dir = +; the wrap edge m-1 → 0 is crossed once the
                 // position falls below the starting coordinate.
-                (0, here[d] < from[d])
+                (0, h < f)
             } else {
                 // dir = −; the wrap edge 0 → m-1 is crossed once the
                 // position rises above the starting coordinate.
-                (1, here[d] > from[d])
+                (1, h > f)
             };
             out.push(self.link(r, d, dir, usize::from(crossed)));
             return;
@@ -199,56 +168,24 @@ impl Topology for Torus {
         out.extend_from_slice(self.graph.consumptions(dest));
     }
 
-    fn route_table(&self) -> &RouteTable {
-        self.routes.get_or_build(|| {
-            let n = self.graph.n_nodes();
-            let ndim = self.dims.len();
-            let mut b = RouteTableBuilder::new(self.graph.n_routers(), n);
-            let mut coords = Vec::with_capacity(n * ndim);
-            for node in 0..n {
-                coords.extend(coords_of(&self.dims, node).iter().map(|&c| c as u32));
-            }
-            b.set_wrap_geometry(self.dims.iter().map(|&m| m as u32).collect(), coords);
-            // The quad of one (router, dim) serves every destination that
-            // still differs in that dim; intern each quad once.
-            let mut quads = vec![u32::MAX; n * ndim];
-            for r in 0..n {
-                let here = coords_of(&self.dims, r);
-                let router = RouterId(r as u32);
-                for dest in 0..n {
-                    let d = NodeId(dest as u32);
-                    let to = coords_of(&self.dims, dest);
-                    match (0..ndim).find(|&dim| here[dim] != to[dim]) {
-                        None => b.fixed(router, d, self.graph.consumptions(d)),
-                        Some(dim) => {
-                            let q = &mut quads[r * ndim + dim];
-                            if *q == u32::MAX {
-                                *q = b.intern(&[
-                                    self.link(router, dim, 0, 0),
-                                    self.link(router, dim, 0, 1),
-                                    self.link(router, dim, 1, 0),
-                                    self.link(router, dim, 1, 1),
-                                ]);
-                            }
-                            b.wrap(router, d, dim as u8, *q);
-                        }
-                    }
-                }
-            }
-            b.build()
-        })
-    }
-
     fn chain_key(&self, n: NodeId) -> u64 {
         // Same convention as the mesh: first-routed dimension is most
         // significant.  (On a torus this order is *not* contention-free —
         // that is precisely what `torus_study` measures.)
-        let c = self.coords(n);
-        let mut key = 0u64;
-        for (&dim, &coord) in self.dims.iter().zip(&c) {
-            key = key * dim as u64 + coord as u64;
+        dim_ordered_key(&self.dims, n.idx())
+    }
+
+    fn distance(&self, src: NodeId, dst: NodeId) -> usize {
+        // Wrap-aware Manhattan distance: Σ min(d, m − d) over dimensions.
+        let (mut a, mut b) = (src.idx(), dst.idx());
+        let mut sum = 0;
+        for &m in &self.dims {
+            let d = (a % m).abs_diff(b % m);
+            sum += d.min(m - d);
+            a /= m;
+            b /= m;
         }
-        key
+        sum
     }
 
     fn name(&self) -> String {
@@ -278,7 +215,6 @@ mod tests {
         let t = Torus::new(&[8]);
         // 0 -> 6 is 2 hops through the wrap, not 6 the long way.
         assert_eq!(t.distance(NodeId(0), NodeId(6)), 2);
-        assert_eq!(t.distance_coords(NodeId(0), NodeId(6)), 2);
         // 0 -> 4 ties; the + direction wins and is still 4 hops.
         assert_eq!(t.distance(NodeId(0), NodeId(4)), 4);
     }
@@ -293,11 +229,7 @@ mod tests {
                 }
                 let p = t.det_path(NodeId(a), NodeId(b));
                 assert_eq!(t.graph().dst_node(*p.last().unwrap()), Some(NodeId(b)));
-                assert_eq!(
-                    p.len() - 2,
-                    t.distance_coords(NodeId(a), NodeId(b)),
-                    "{a}->{b}"
-                );
+                assert_eq!(p.len() - 2, t.distance(NodeId(a), NodeId(b)), "{a}->{b}");
                 for (i, c) in p.iter().enumerate() {
                     assert!(!p[..i].contains(c), "cycle in {a}->{b}");
                 }

@@ -21,7 +21,7 @@ proptest! {
         prop_assume!(a != b);
         let p = m.det_path(a, b);
         prop_assert_eq!(m.graph().dst_node(*p.last().unwrap()), Some(b));
-        prop_assert_eq!(p.len() - 2, m.manhattan(a, b));
+        prop_assert_eq!(p.len() - 2, m.distance(a, b));
         for (i, c) in p.iter().enumerate() {
             prop_assert!(!p[..i].contains(c), "repeated channel in {:?}->{:?}", a, b);
         }
@@ -47,7 +47,7 @@ proptest! {
         let (a, b) = (NodeId(sa % n), NodeId(sb % n));
         prop_assume!(a != b);
         let p = t.det_path(a, b);
-        prop_assert_eq!(p.len() - 2, t.distance_coords(a, b));
+        prop_assert_eq!(p.len() - 2, t.distance(a, b));
         prop_assert!(p.len() - 2 <= 2 * (side / 2) + 1);
     }
 
