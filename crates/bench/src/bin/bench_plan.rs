@@ -18,8 +18,8 @@
 //! hit / miss / DP-run / eviction counts and the FNV fingerprint of the
 //! concatenated response bytes (any drift means the service answered
 //! differently, not just slower).  It fails if overall throughput drops
-//! below 75% of the committed figure, and — in every mode — if warm cache
-//! hits are not at least 10x faster than cold misses.
+//! below 75% of the committed figure, or if any workload's mean warm-hit
+//! latency exceeds twice its committed `hit_latency.mean_ns`.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -32,9 +32,12 @@ use telem::Histogram;
 /// Throughput floor for `--check`, as a fraction of committed plans/sec.
 const MIN_THROUGHPUT_RATIO: f64 = 0.75;
 
-/// The cache must pay for itself: mean warm-hit latency at least this many
-/// times faster than mean cold-miss latency, per workload.
-const MIN_HIT_SPEEDUP: f64 = 10.0;
+/// Hit-latency ceiling for `--check`, as a multiple of each workload's
+/// committed mean hit latency.  A ceiling on hits, not a hit/miss ratio:
+/// a ratio fails when misses get faster.  Hit means on a 2-core host
+/// vary by up to 1.7x between runs of one binary, hence 2x rather than
+/// the throughput floor's 1/0.75.
+const MAX_HIT_LATENCY_RATIO: f64 = 2.0;
 
 /// One benchmark workload: `distinct` request lines, each issued
 /// `repeats` times round-robin, against a `capacity`-plan cache.
@@ -256,24 +259,33 @@ fn overall_plans_per_sec(records: &[PlanBenchRecord]) -> f64 {
     }
 }
 
-/// Per-workload speedup floor, enforced in every mode: a cache that does
-/// not beat recomputation by an order of magnitude is not worth serving
-/// from.  Skipped for workloads whose hit side is empty.
-fn speedup_failures(records: &[PlanBenchRecord]) -> Vec<String> {
-    records
-        .iter()
-        .filter(|r| r.hit_ns.count > 0)
-        .filter(|r| r.hit_speedup() < MIN_HIT_SPEEDUP)
-        .map(|r| {
-            format!(
-                "{}: cache hits only {:.1}x faster than misses (mean {:.1}us vs {:.1}us, floor {MIN_HIT_SPEEDUP}x)",
-                r.id,
-                r.hit_speedup(),
-                r.hit_ns.mean() / 1e3,
-                r.miss_ns.mean() / 1e3,
-            )
-        })
-        .collect()
+/// The hit-latency ceiling for one workload against its committed
+/// record.  Skipped when the workload has no hits (the eviction mix).
+fn hit_latency_failure(fresh: &PlanBenchRecord, committed: &serde_json::Value) -> Option<String> {
+    if fresh.hit_ns.count == 0 {
+        return None;
+    }
+    let Some(committed_mean) = committed
+        .get("hit_latency")
+        .and_then(|h| h.get("mean_ns"))
+        .and_then(serde_json::Value::as_f64)
+    else {
+        return Some(format!(
+            "{}: committed record lacks `hit_latency.mean_ns`",
+            fresh.id
+        ));
+    };
+    let ceiling = committed_mean * MAX_HIT_LATENCY_RATIO;
+    let mean = fresh.hit_ns.mean();
+    (mean > ceiling).then(|| {
+        format!(
+            "{}: mean hit latency {:.1}us above ceiling {:.1}us ({MAX_HIT_LATENCY_RATIO}x committed {:.1}us)",
+            fresh.id,
+            mean / 1e3,
+            ceiling / 1e3,
+            committed_mean / 1e3,
+        )
+    })
 }
 
 fn write_files(records: &[PlanBenchRecord]) -> std::io::Result<()> {
@@ -314,7 +326,7 @@ fn check(path: &str) -> ExitCode {
     };
     let records: Vec<PlanBenchRecord> = WORKLOADS.iter().map(run_workload).collect();
     print!("{}", table(&records));
-    let mut failures = speedup_failures(&records);
+    let mut failures = Vec::new();
 
     let committed_records = committed
         .get("records")
@@ -350,6 +362,7 @@ fn check(path: &str) -> ExitCode {
                 None => failures.push(format!("{id}: committed record lacks `{key}`")),
             }
         }
+        failures.extend(hit_latency_failure(fresh, c));
     }
     if let Some(committed_overall) = committed
         .get("overall_plans_per_sec")
@@ -369,7 +382,7 @@ fn check(path: &str) -> ExitCode {
 
     if failures.is_empty() {
         println!(
-            "\nbench_plan check: OK — {} records match {path} exactly, throughput and hit speedup within bounds",
+            "\nbench_plan check: OK — {} records match {path} exactly, throughput and hit latency within bounds",
             committed_records.len()
         );
         ExitCode::SUCCESS
@@ -389,10 +402,6 @@ fn main() -> ExitCode {
     }
     let records: Vec<PlanBenchRecord> = WORKLOADS.iter().map(run_workload).collect();
     print!("{}", table(&records));
-    let failures = speedup_failures(&records);
-    for f in &failures {
-        eprintln!("bench_plan: {f}");
-    }
     match write_files(&records) {
         Ok(()) => {
             println!("\n[json] results/bench_plan.json");
@@ -400,9 +409,5 @@ fn main() -> ExitCode {
         }
         Err(e) => eprintln!("could not write bench_plan JSON: {e}"),
     }
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::SUCCESS
 }

@@ -10,7 +10,7 @@
 
 use serde::{de_err, DeError, Deserialize, Value};
 
-use optmc::spec::parse_topology;
+use optmc::spec::parse_spec;
 use optmc::Algorithm;
 
 /// Which grid dimension a figure plots on its x axis.
@@ -205,8 +205,7 @@ impl CampaignSpec {
             return Err("trials must be at least 1".into());
         }
         for t in &self.topos {
-            let topo = parse_topology(t)?;
-            let n = topo.graph().n_nodes();
+            let n = parse_spec(t)?.nodes;
             for &k in &self.ks {
                 if k < 2 || k > n {
                     return Err(format!("k={k} out of range 2..={n} for topology {t}"));

@@ -75,6 +75,31 @@ pub struct PlanCertificate {
     pub clean: bool,
 }
 
+/// Append `v` in decimal, as JSON prints an unsigned integer, without
+/// allocating.  Shared with the planning service's plan writer, which
+/// embeds certificates, so both print numbers the same way.
+pub fn push_uint(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[i..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Append `s` as a JSON string literal, escaped exactly as
+/// `serde_json::to_string` escapes it (it is that writer).
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push_str(&serde_json::to_string(s).expect("a string always serializes"));
+}
+
 /// Why a certificate failed verification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CertError {
@@ -183,6 +208,63 @@ impl PlanCertificate {
         let mut s = serde_json::to_string_pretty(self).expect("certificate serializes");
         s.push('\n');
         s
+    }
+
+    /// Append the compact JSON form to `out`: exactly the bytes of
+    /// `serde_json::to_string(self)`, written directly instead of through
+    /// a `Value` tree.  The planning service splices this into every
+    /// certified plan response, where the windows are most of the bytes.
+    pub fn write_json_compact(&self, out: &mut String) {
+        out.push_str("{\"version\":");
+        push_uint(out, self.version.into());
+        out.push_str(",\"target\":");
+        push_json_str(out, &self.target);
+        out.push_str(",\"algorithm\":");
+        push_json_str(out, &self.algorithm);
+        out.push_str(",\"multicasts\":[");
+        for (i, m) in self.multicasts.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"src\":");
+            push_uint(out, m.src.into());
+            out.push_str(",\"participants\":[");
+            for (j, &p) in m.participants.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                push_uint(out, p.into());
+            }
+            out.push_str("],\"bytes\":");
+            push_uint(out, m.bytes);
+            out.push_str(",\"start\":");
+            push_uint(out, m.start);
+            out.push_str(",\"active_from\":");
+            push_uint(out, m.active_from);
+            out.push_str(",\"active_until\":");
+            push_uint(out, m.active_until);
+            out.push('}');
+        }
+        out.push_str("],\"windows\":[");
+        for (i, w) in self.windows.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"mcast\":");
+            push_uint(out, w.mcast as u64);
+            out.push_str(",\"send\":");
+            push_uint(out, w.send as u64);
+            out.push_str(",\"channel\":");
+            push_uint(out, w.channel.into());
+            out.push_str(",\"acquire\":");
+            push_uint(out, w.acquire);
+            out.push_str(",\"release\":");
+            push_uint(out, w.release);
+            out.push('}');
+        }
+        out.push_str("],\"clean\":");
+        out.push_str(if self.clean { "true" } else { "false" });
+        out.push('}');
     }
 
     /// Parse a certificate from JSON.
@@ -355,6 +437,29 @@ mod tests {
         let back = PlanCertificate::from_json(&cert.to_json()).unwrap();
         assert_eq!(back, cert);
         back.verify().unwrap();
+    }
+
+    #[test]
+    fn compact_writer_matches_the_serde_render() {
+        let written = |cert: &PlanCertificate| {
+            let mut out = String::new();
+            cert.write_json_compact(&mut out);
+            out
+        };
+        for (gap, seed) in [(1_000_000, 7), (0, 3)] {
+            let (_, cert) = certified_set(gap, seed);
+            assert_eq!(written(&cert), serde_json::to_string(&cert).unwrap());
+        }
+        let mut odd = certified_set(1_000_000, 7).1;
+        odd.target = "q\"b\\s\u{1}\n\té✓".into();
+        odd.multicasts[0].bytes = u64::MAX;
+        odd.windows[0].release = 0;
+        odd.windows.truncate(1);
+        odd.multicasts.truncate(1);
+        assert_eq!(written(&odd), serde_json::to_string(&odd).unwrap());
+        odd.windows.clear();
+        odd.multicasts.clear();
+        assert_eq!(written(&odd), serde_json::to_string(&odd).unwrap());
     }
 
     #[test]

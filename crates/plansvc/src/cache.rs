@@ -6,26 +6,20 @@
 //! smallest stamp.  Stamps are unique, so the victim is always unique —
 //! the eviction order is a pure function of the access history, never of
 //! hash-map iteration order or wall-clock time.
+//!
+//! An entry is only the plan's compact JSON
+//! ([`crate::PlanBody::render_json`]), written once when the plan is
+//! computed: every hit splices those bytes into its response, and nothing
+//! reads the plan in any other form.
 
 use std::collections::HashMap;
 
-use crate::plan::PlanBody;
-
-/// A cached computation: the plan plus its JSON rendering, serialized once
-/// at insert so cache hits splice bytes instead of re-walking the plan.
-pub struct CachedPlan {
-    /// The computed plan.
-    pub body: PlanBody,
-    /// `body.to_value()` rendered to compact JSON.
-    pub rendered: String,
-}
-
 struct Entry {
-    plan: CachedPlan,
+    plan: String,
     last_used: u64,
 }
 
-/// A bounded LRU cache from request keys to computed plans.
+/// A bounded LRU cache from request keys to rendered plans.
 pub struct PlanCache {
     capacity: usize,
     seq: u64,
@@ -43,19 +37,19 @@ impl PlanCache {
         }
     }
 
-    /// Look up a plan, refreshing its recency on a hit.
-    pub fn get(&mut self, key: &str) -> Option<&CachedPlan> {
+    /// Look up a rendered plan, refreshing its recency on a hit.
+    pub fn get(&mut self, key: &str) -> Option<&str> {
         self.seq += 1;
         let seq = self.seq;
         self.map.get_mut(key).map(|e| {
             e.last_used = seq;
-            &e.plan
+            e.plan.as_str()
         })
     }
 
-    /// Insert a plan, evicting the least-recently-used entry when full.
-    /// Returns the evicted key, if any.
-    pub fn insert(&mut self, key: String, plan: CachedPlan) -> Option<String> {
+    /// Insert a rendered plan, evicting the least-recently-used entry when
+    /// full.  Returns the evicted key, if any.
+    pub fn insert(&mut self, key: String, plan: String) -> Option<String> {
         self.seq += 1;
         if let Some(e) = self.map.get_mut(&key) {
             // Re-insertion of a live key refreshes it in place.
@@ -108,8 +102,8 @@ impl PlanCache {
 mod tests {
     use super::*;
 
-    fn body(tag: u64) -> CachedPlan {
-        let body = PlanBody {
+    fn body(tag: u64) -> String {
+        crate::PlanBody {
             topo: "mesh:2x2".into(),
             algorithm: "opt-arch".into(),
             k: 2,
@@ -121,11 +115,8 @@ mod tests {
             chain: vec![0, 1],
             sends: vec![(0, 1, 0, 2)],
             certificate: None,
-        };
-        CachedPlan {
-            rendered: serde_json::to_string(&body.to_value()).unwrap(),
-            body,
         }
+        .render_json()
     }
 
     #[test]
@@ -166,7 +157,7 @@ mod tests {
         c.insert("a".into(), body(1));
         c.insert("b".into(), body(2));
         assert_eq!(c.insert("a".into(), body(9)), None, "no eviction");
-        assert_eq!(c.get("a").unwrap().body.bytes, 9);
+        assert_eq!(c.get("a"), Some(body(9).as_str()));
         assert_eq!(c.len(), 2);
     }
 

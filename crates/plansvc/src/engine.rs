@@ -25,7 +25,7 @@ use std::collections::VecDeque;
 
 use serde_json::Value;
 
-use crate::cache::{CachedPlan, PlanCache};
+use crate::cache::PlanCache;
 use crate::plan::PlanBody;
 use crate::request::{parse_line, ParsedLine, PlanRequest};
 
@@ -175,11 +175,11 @@ impl Engine {
             Err(e) => {
                 self.stats.errors += 1;
                 crate::ERRORS.inc();
-                self.respond(id, &error_line(e.echo.as_ref(), &e.message));
+                self.respond(id, error_line(e.echo.as_ref(), &e.message));
             }
             Ok(ParsedLine::Stats(echo)) => {
                 let line = self.stats_line(echo.as_ref());
-                self.respond(id, &line);
+                self.respond(id, line);
             }
             Ok(ParsedLine::Plan(request, echo)) => {
                 self.stats.requests += 1;
@@ -188,8 +188,8 @@ impl Engine {
                 if let Some(plan) = self.cache.get(&key) {
                     self.stats.hits += 1;
                     crate::HITS.inc();
-                    let line = response_line(echo.as_ref(), true, &key, &plan.rendered);
-                    self.respond(id, &line);
+                    let line = response_line(echo.as_ref(), true, &key, plan);
+                    self.respond(id, line);
                 } else if let Some((_, waiters)) = self.inflight.iter_mut().find(|(k, _)| *k == key)
                 {
                     self.stats.coalesced += 1;
@@ -216,27 +216,16 @@ impl Engine {
             Ok(body) => {
                 self.stats.dp_runs += 1;
                 crate::DP_RUNS.inc();
-                // Serialize once; every waiter now — and every future hit —
-                // splices the rendered bytes instead of re-walking the plan.
-                let plan = CachedPlan {
-                    rendered: render(&body.to_value()),
-                    body: *body,
-                };
-                let lines: Vec<(RequestId, String)> = waiters
-                    .iter()
-                    .map(|w| {
-                        (
-                            w.id,
-                            response_line(w.echo.as_ref(), false, key, &plan.rendered),
-                        )
-                    })
-                    .collect();
+                // Render once; every waiter now — and every future hit —
+                // splices these bytes instead of re-walking the plan.
+                let plan = body.render_json();
+                for w in &waiters {
+                    let line = response_line(w.echo.as_ref(), false, key, &plan);
+                    self.respond(w.id, line);
+                }
                 if self.cache.insert(key.to_string(), plan).is_some() {
                     self.stats.evictions += 1;
                     crate::EVICTIONS.inc();
-                }
-                for (id, line) in lines {
-                    self.respond(id, &line);
                 }
             }
             Err(message) => {
@@ -244,17 +233,14 @@ impl Engine {
                     self.stats.errors += 1;
                     crate::ERRORS.inc();
                     let line = error_line(w.echo.as_ref(), &message);
-                    self.respond(w.id, &line);
+                    self.respond(w.id, line);
                 }
             }
         }
     }
 
-    fn respond(&mut self, id: RequestId, line: &str) {
-        self.out.push_back(Command::Respond {
-            id,
-            line: line.to_string(),
-        });
+    fn respond(&mut self, id: RequestId, line: String) {
+        self.out.push_back(Command::Respond { id, line });
     }
 
     fn stats_line(&self, echo: Option<&Value>) -> String {
@@ -331,25 +317,31 @@ mod tests {
         // The hot-path splice must stay byte-compatible with rendering the
         // equivalent Value tree, or hit and miss responses would diverge in
         // formatting (and replay determinism claims would weaken).
-        let plan_json = r#"{"topo":"mesh:2x2","k":2}"#;
-        let key = "plan|mesh:2x2|opt-arch|b64|m0,1|auto";
-        for echo in [None, Some(Value::UInt(7)), Some(Value::Str("x|9\"".into()))] {
-            for cached in [false, true] {
-                let spliced = response_line(echo.as_ref(), cached, key, plan_json);
-                let mut fields = Vec::new();
-                if let Some(e) = &echo {
-                    fields.push(("id".to_string(), e.clone()));
+        for topo in ["mesh:8x8", "torus:4x4", "bmin:16", "omega:16"] {
+            let request = PlanRequest {
+                topo: topo.to_string(),
+                algorithm: optmc::Algorithm::OptArch,
+                members: [0, 5, 10, 15].map(topo::NodeId).to_vec(),
+                bytes: 2048,
+                params: None,
+            };
+            let body = crate::compute_plan(&request, &crate::PlanOptions { certify: true })
+                .expect("certified plan");
+            let key = request.key();
+            let plan_json = body.render_json();
+            for echo in [None, Some(Value::UInt(7)), Some(Value::Str("x|9\"".into()))] {
+                for cached in [false, true] {
+                    let spliced = response_line(echo.as_ref(), cached, &key, &plan_json);
+                    let mut fields = Vec::new();
+                    if let Some(e) = &echo {
+                        fields.push(("id".to_string(), e.clone()));
+                    }
+                    fields.push(("ok".to_string(), Value::Bool(true)));
+                    fields.push(("cached".to_string(), Value::Bool(cached)));
+                    fields.push(("key".to_string(), Value::Str(key.clone())));
+                    fields.push(("plan".to_string(), body.to_value()));
+                    assert_eq!(spliced, render(&Value::Object(fields)), "{topo}");
                 }
-                fields.push(("ok".to_string(), Value::Bool(true)));
-                fields.push(("cached".to_string(), Value::Bool(cached)));
-                fields.push(("key".to_string(), Value::Str(key.to_string())));
-                let mut want = render(&Value::Object(fields));
-                // Graft the plan value into the rendered envelope.
-                want.pop();
-                want.push_str(",\"plan\":");
-                want.push_str(plan_json);
-                want.push('}');
-                assert_eq!(spliced, want);
             }
         }
     }

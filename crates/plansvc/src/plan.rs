@@ -8,6 +8,7 @@
 
 use flitsim::SimConfig;
 use mtree::Schedule;
+use netcheck::certificate::{push_json_str, push_uint};
 use netcheck::{analyze_set, PlanCertificate, ScheduleSet};
 use optmc::runner::nominal_hops;
 use optmc::McastSpec;
@@ -52,7 +53,9 @@ pub struct PlanBody {
 }
 
 impl PlanBody {
-    /// The deterministic JSON form (insertion-ordered object).
+    /// The deterministic JSON form (insertion-ordered object).  The test
+    /// oracle for [`PlanBody::render_json`], and the source of `optmc
+    /// plan --json`'s pretty output.
     pub fn to_value(&self) -> Value {
         let mut fields = vec![
             ("topo".to_string(), Value::Str(self.topo.clone())),
@@ -86,12 +89,69 @@ impl PlanBody {
         ];
         if let Some(cert) = &self.certificate {
             fields.push(("clean".to_string(), Value::Bool(cert.clean)));
-            fields.push((
-                "certificate".to_string(),
-                serde_json::from_str(&cert.to_json()).expect("certificate JSON is valid"),
-            ));
+            fields.push(("certificate".to_string(), serde_json::to_value(cert)));
         }
         Value::Object(fields)
+    }
+
+    /// The compact JSON of [`PlanBody::to_value`], written straight to
+    /// bytes: exactly `serde_json::to_string(&self.to_value())`, without
+    /// building the `Value` tree.  The engine caches these bytes and
+    /// splices them into every response for the plan.
+    #[must_use]
+    pub fn render_json(&self) -> String {
+        // Sized from the field counts so that plans do not reallocate while
+        // being written; a certificate window takes about 70 bytes.
+        let windows = self.certificate.as_ref().map_or(0, |c| c.windows.len());
+        let mut out = String::with_capacity(
+            256 + 16 * self.chain.len() + 40 * self.sends.len() + 72 * windows,
+        );
+        out.push_str("{\"topo\":");
+        push_json_str(&mut out, &self.topo);
+        out.push_str(",\"algorithm\":");
+        push_json_str(&mut out, &self.algorithm);
+        for (key, v) in [
+            (",\"k\":", self.k as u64),
+            (",\"bytes\":", self.bytes),
+            (",\"hold\":", self.hold),
+            (",\"end\":", self.end),
+            (",\"latency\":", self.latency),
+            (",\"depth\":", self.depth as u64),
+        ] {
+            out.push_str(key);
+            push_uint(&mut out, v);
+        }
+        out.push_str(",\"chain\":[");
+        for (i, &n) in self.chain.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_uint(&mut out, n.into());
+        }
+        out.push_str("],\"sends\":[");
+        for (i, &(from, to, start, arrive)) in self.sends.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            push_uint(&mut out, from.into());
+            out.push(',');
+            push_uint(&mut out, to.into());
+            out.push(',');
+            push_uint(&mut out, start);
+            out.push(',');
+            push_uint(&mut out, arrive);
+            out.push(']');
+        }
+        out.push(']');
+        if let Some(cert) = &self.certificate {
+            out.push_str(",\"clean\":");
+            out.push_str(if cert.clean { "true" } else { "false" });
+            out.push_str(",\"certificate\":");
+            cert.write_json_compact(&mut out);
+        }
+        out.push('}');
+        out
     }
 }
 
@@ -201,6 +261,70 @@ mod tests {
         let cert = body.certificate.expect("certificate requested");
         assert!(cert.clean, "OPT-mesh is contention-free (Theorem 1)");
         cert.verify().expect("certificate verifies independently");
+    }
+
+    #[test]
+    fn render_json_matches_its_value_oracle() {
+        let topos = [
+            "mesh:16x16",
+            "bmin:128",
+            "torus:8x8",
+            "omega:64",
+            "mesh:32x32",
+            "bmin:512",
+        ];
+        for topo in topos {
+            let n = optmc::spec::parse_spec(topo).unwrap().nodes;
+            for k in [2, 8, 16, 32, 64] {
+                for seed in [3, 1997] {
+                    let r = PlanRequest {
+                        members: optmc::random_placement(n, k, seed),
+                        ..req(topo, &[], 16384)
+                    };
+                    for certify in [false, true] {
+                        let body = compute_plan(&r, &PlanOptions { certify }).unwrap();
+                        assert_eq!(
+                            body.render_json(),
+                            serde_json::to_string(&body.to_value()).unwrap(),
+                            "{topo} k={k} seed={seed} certify={certify}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn render_json_escapes_strings_like_the_value_render() {
+        let mut body = PlanBody {
+            topo: "q\"b\\s\u{1}\n\t\u{7f} é✓網".into(),
+            algorithm: "opt-arch".into(),
+            k: 2,
+            bytes: u64::MAX,
+            hold: 0,
+            end: 10,
+            latency: 10,
+            depth: 1,
+            chain: vec![7, 0],
+            sends: vec![(7, 0, 0, 10)],
+            certificate: None,
+        };
+        assert_eq!(
+            body.render_json(),
+            serde_json::to_string(&body.to_value()).unwrap()
+        );
+        let r = req("mesh:4x4", &[0, 5, 10], 512);
+        let mut cert = compute_plan(&r, &PlanOptions { certify: true })
+            .unwrap()
+            .certificate;
+        if let Some(c) = &mut cert {
+            c.target = body.topo.clone();
+        }
+        body.certificate = cert;
+        assert_eq!(
+            body.render_json(),
+            serde_json::to_string(&body.to_value()).unwrap()
+        );
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! is keyed, so `{"k": 8, "seed": 1}` and the equivalent explicit
 //! `"members"` list share one cache entry.
 
+use netcheck::certificate::push_uint;
 use optmc::{random_placement, Algorithm};
 use pcm::Time;
 use serde_json::Value;
@@ -51,23 +52,27 @@ impl PlanRequest {
     /// two requests share a cache entry exactly when their plans are
     /// interchangeable.
     pub fn key(&self) -> String {
-        let members = self
-            .members
-            .iter()
-            .map(|n| n.0.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
+        // Runs on every request, hits included: one buffer for the member
+        // list, not a string per member.
+        let mut members = String::with_capacity(1 + 8 * self.members.len());
+        members.push('m');
+        for (i, n) in self.members.iter().enumerate() {
+            if i > 0 {
+                members.push(',');
+            }
+            push_uint(&mut members, n.0.into());
+        }
         let params = match self.params {
             None => "auto".to_string(),
             Some((hold, end)) => format!("h{hold}e{end}"),
         };
         campaign::key::compose([
-            "plan".to_string(),
-            self.topo.clone(),
-            self.algorithm.id().to_string(),
-            format!("b{}", self.bytes),
-            format!("m{members}"),
-            params,
+            "plan",
+            &self.topo,
+            self.algorithm.id(),
+            &format!("b{}", self.bytes),
+            &members,
+            &params,
         ])
     }
 }

@@ -65,15 +65,21 @@ pub struct Channel {
 /// number of consumption channels: the paper's experiments use the one-port
 /// architecture (exactly one of each), while the multi-port ablation gives
 /// every node several.
+///
+/// Port channels are stored flat and node-major: node `n` owns entries
+/// `n * ports .. (n + 1) * ports` of each port array, in the order the
+/// builder added them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkGraph {
     n_nodes: usize,
     n_routers: usize,
     channels: Vec<Channel>,
-    /// Injection channels of each node (NI → router), at least one.
-    injection: Vec<Vec<ChannelId>>,
-    /// Consumption channels of each node (router → NI), at least one.
-    consumption: Vec<Vec<ChannelId>>,
+    /// NI ports per node: uniform, at least one.
+    ports: usize,
+    /// Injection channels (NI → router), `ports` per node.
+    injection: Vec<ChannelId>,
+    /// Consumption channels (router → NI), `ports` per node.
+    consumption: Vec<ChannelId>,
 }
 
 impl NetworkGraph {
@@ -83,9 +89,13 @@ impl NetworkGraph {
             n_nodes,
             n_routers,
             channels: Vec::new(),
-            injection: vec![Vec::new(); n_nodes],
-            consumption: vec![Vec::new(); n_nodes],
+            injection: Vec::with_capacity(n_nodes),
+            consumption: Vec::with_capacity(n_nodes),
         }
+    }
+
+    fn port_range(&self, n: NodeId) -> std::ops::Range<usize> {
+        n.idx() * self.ports..(n.idx() + 1) * self.ports
     }
 
     /// Number of nodes.
@@ -113,27 +123,27 @@ impl NetworkGraph {
 
     /// The primary injection channel (NI → router) of `n`.
     pub fn injection(&self, n: NodeId) -> ChannelId {
-        self.injection[n.idx()][0]
+        self.injection[n.idx() * self.ports]
     }
 
     /// All injection channels of `n` (one in the one-port architecture).
     pub fn injections(&self, n: NodeId) -> &[ChannelId] {
-        &self.injection[n.idx()]
+        &self.injection[self.port_range(n)]
     }
 
     /// The primary consumption channel (router → NI) of `n`.
     pub fn consumption(&self, n: NodeId) -> ChannelId {
-        self.consumption[n.idx()][0]
+        self.consumption[n.idx() * self.ports]
     }
 
     /// All consumption channels of `n`.
     pub fn consumptions(&self, n: NodeId) -> &[ChannelId] {
-        &self.consumption[n.idx()]
+        &self.consumption[self.port_range(n)]
     }
 
     /// The NI port count (uniform across nodes by construction).
     pub fn ports(&self) -> usize {
-        self.injection.first().map_or(1, Vec::len)
+        self.ports
     }
 
     /// The router a channel delivers into, or `None` for consumption
@@ -164,8 +174,10 @@ pub struct NetworkGraphBuilder {
     n_nodes: usize,
     n_routers: usize,
     channels: Vec<Channel>,
-    injection: Vec<Vec<ChannelId>>,
-    consumption: Vec<Vec<ChannelId>>,
+    /// `(node, channel)` per injection port, in insertion order.
+    injection: Vec<(NodeId, ChannelId)>,
+    /// `(node, channel)` per consumption port, in insertion order.
+    consumption: Vec<(NodeId, ChannelId)>,
 }
 
 impl NetworkGraphBuilder {
@@ -181,21 +193,23 @@ impl NetworkGraphBuilder {
     /// Add an injection channel for node `n` into router `r` (call several
     /// times for a multi-port NI).
     pub fn injection(&mut self, n: NodeId, r: RouterId) -> ChannelId {
+        assert!(n.idx() < self.n_nodes, "node {} out of range", n.0);
         let c = self.push(Channel {
             src: Endpoint::Node(n),
             dst: Endpoint::Router(r),
         });
-        self.injection[n.idx()].push(c);
+        self.injection.push((n, c));
         c
     }
 
     /// Add a consumption channel for node `n` from router `r`.
     pub fn consumption(&mut self, n: NodeId, r: RouterId) -> ChannelId {
+        assert!(n.idx() < self.n_nodes, "node {} out of range", n.0);
         let c = self.push(Channel {
             src: Endpoint::Router(r),
             dst: Endpoint::Node(n),
         });
-        self.consumption[n.idx()].push(c);
+        self.consumption.push((n, c));
         c
     }
 
@@ -211,25 +225,47 @@ impl NetworkGraphBuilder {
     /// If any node lacks an injection or consumption channel, or port
     /// counts differ across nodes.
     pub fn build(self) -> NetworkGraph {
-        for (n, ports) in self.injection.iter().enumerate() {
-            assert!(!ports.is_empty(), "node {n} lacks an injection channel");
-        }
-        for (n, ports) in self.consumption.iter().enumerate() {
-            assert!(!ports.is_empty(), "node {n} lacks a consumption channel");
-        }
-        let port_counts: Vec<usize> = self.injection.iter().map(Vec::len).collect();
-        assert!(
-            port_counts.windows(2).all(|w| w[0] == w[1]),
+        let (injection, ports) = node_major(self.n_nodes, self.injection, "an injection");
+        let (consumption, consumption_ports) =
+            node_major(self.n_nodes, self.consumption, "a consumption");
+        assert_eq!(
+            ports, consumption_ports,
             "port count must be uniform across nodes"
         );
         NetworkGraph {
             n_nodes: self.n_nodes,
             n_routers: self.n_routers,
             channels: self.channels,
-            injection: self.injection,
-            consumption: self.consumption,
+            ports,
+            injection,
+            consumption,
         }
     }
+}
+
+/// Flatten `(node, channel)` port pairs node-major, keeping each node's
+/// insertion order, and return them with the per-node port count.
+///
+/// # Panics
+/// If a node has no port, or port counts differ across nodes.
+fn node_major(
+    n_nodes: usize,
+    mut pairs: Vec<(NodeId, ChannelId)>,
+    kind: &str,
+) -> (Vec<ChannelId>, usize) {
+    // Stable, and linear on the node-ordered input every topology gives.
+    pairs.sort_by_key(|&(n, _)| n);
+    let ports = pairs.len() / n_nodes.max(1);
+    let mut next = pairs.iter().map(|&(n, _)| n.idx()).peekable();
+    for n in 0..n_nodes {
+        let mut count = 0;
+        while next.next_if_eq(&n).is_some() {
+            count += 1;
+        }
+        assert!(count > 0, "node {n} lacks {kind} channel");
+        assert_eq!(count, ports, "port count must be uniform across nodes");
+    }
+    (pairs.into_iter().map(|(_, c)| c).collect(), ports.max(1))
 }
 
 /// Do two channel paths share any channel?  Returns the first shared one.
@@ -269,6 +305,58 @@ mod tests {
         let mut b = NetworkGraph::builder(1, 1);
         b.consumption(NodeId(0), RouterId(0));
         b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "lacks a consumption")]
+    fn missing_consumption_panics() {
+        let mut b = NetworkGraph::builder(2, 1);
+        b.injection(NodeId(0), RouterId(0));
+        b.injection(NodeId(1), RouterId(0));
+        b.consumption(NodeId(1), RouterId(0));
+        b.build();
+    }
+
+    #[test]
+    #[should_panic(expected = "port count must be uniform")]
+    fn non_uniform_ports_panic() {
+        let mut b = NetworkGraph::builder(2, 1);
+        b.injection(NodeId(0), RouterId(0));
+        b.injection(NodeId(0), RouterId(0));
+        b.injection(NodeId(1), RouterId(0));
+        b.consumption(NodeId(0), RouterId(0));
+        b.consumption(NodeId(1), RouterId(0));
+        b.build();
+    }
+
+    #[test]
+    fn ports_keep_insertion_order() {
+        use crate::Topology;
+        // A 3-port mesh adds (injection, consumption) pairs port by port,
+        // node by node, so node n's ports are channels 6n .. 6n + 5.
+        let mesh = crate::Mesh::with_ports(&[2, 2], 3);
+        let g = mesh.graph();
+        assert_eq!(g.ports(), 3);
+        for n in 0..4u32 {
+            let ids = |first: u32| [first, first + 2, first + 4].map(ChannelId);
+            assert_eq!(g.injections(NodeId(n)), ids(6 * n));
+            assert_eq!(g.consumptions(NodeId(n)), ids(6 * n + 1));
+            assert_eq!(g.injection(NodeId(n)), ChannelId(6 * n));
+            assert_eq!(g.consumption(NodeId(n)), ChannelId(6 * n + 1));
+        }
+        // Ports added out of node order land node-major, each node's in the
+        // order it was added.
+        let mut b = NetworkGraph::builder(2, 1);
+        let mut added = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]];
+        for n in [1, 0, 0, 1] {
+            added[n][0].push(b.injection(NodeId(n as u32), RouterId(0)));
+            added[n][1].push(b.consumption(NodeId(n as u32), RouterId(0)));
+        }
+        let g = b.build();
+        for (n, [inj, cons]) in added.iter().enumerate() {
+            assert_eq!(g.injections(NodeId(n as u32)), inj.as_slice());
+            assert_eq!(g.consumptions(NodeId(n as u32)), cons.as_slice());
+        }
     }
 
     #[test]

@@ -112,9 +112,9 @@ test -s "$SMOKE_DIR/plansvc_telem.json" \
 # Plan-path perf + determinism: re-run every workload in the committed
 # BENCH_plan.json.  The sentinels (request/hit/miss/DP/eviction counts and
 # the response-byte fingerprint) must match exactly; overall throughput must
-# stay within 25% of the committed figure; and warm cache hits must stay at
-# least 10x faster than cold misses.
-echo "==> bench_plan --check BENCH_plan.json (sentinels exact, throughput >= 0.75x, hit speedup >= 10x)"
+# stay within 25% of the committed figure; and each workload's mean warm-hit
+# latency must stay at most 2x its committed mean.
+echo "==> bench_plan --check BENCH_plan.json (sentinels exact, throughput >= 0.75x, hit latency <= 2x)"
 cargo run --release -q -p optmc-bench --bin bench_plan -- --check BENCH_plan.json
 
 # Figure determinism gate: the committed paper figures must regenerate
