@@ -11,6 +11,13 @@
 //!   (the tail of an `L`-flit worm is `L` channels behind the head);
 //! * once draining with tail consumed at `T`, path index `j` of a `P`-channel
 //!   path frees at `T - (P-1-j)` (one cycle of streaming per channel).
+//!
+//! A release is a timestamp, not an event: the moment its time is known the
+//! channel records it as `free_at`, and every later event at `t >= free_at`
+//! finds the channel free — the order a priority-0 `Release` at `free_at`
+//! would give.  A `Release` event is queued only when a worm waits on the
+//! channel (it must be woken at exactly that time) or when the observer
+//! records events in time order.
 
 use std::collections::VecDeque;
 
@@ -21,7 +28,7 @@ use crate::config::SimConfig;
 use crate::equeue::{EventQueue, ENTRY_BYTES};
 use crate::obs::{Observer, RunMeta, TraceSink};
 use crate::program::{Program, SendReq};
-use crate::stats::{MessageRecord, SimResult};
+use crate::stats::{ChannelTelemetry, MessageRecord, SimResult};
 use crate::trace::TraceEvent;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,11 +72,37 @@ struct Worm<P> {
 /// occupies the bits above.  2^28 nodes x 2^28 sends per node.
 const RANK_SHIFT: u32 = 28;
 
+/// `ChanState::holder` of a channel nobody holds.
+const FREE: u32 = u32::MAX;
+/// `ChanState::waiters` of a channel nothing has waited on yet.
+const NO_WAITERS: u32 = u32::MAX;
+
+/// One channel's occupancy: 24 bytes and nothing on the heap, because the
+/// per-run `Engine::new` initialises (and the run drops) one per channel
+/// of the network.
 struct ChanState {
-    holder: Option<u32>,
-    acquired_at: Time,
-    /// Waiting worms as (slot, generation-at-blocking) pairs.
-    waiters: Vec<(u32, u32)>,
+    /// The acquire time while the release time is unknown; the release time
+    /// (`free_at`) once `released` is set.
+    at: Time,
+    /// The holding worm, or [`FREE`].  A holder whose `free_at` has passed
+    /// is stale: the next acquire overwrites it.
+    holder: u32,
+    /// The channel's list in `Engine::waiters`, given on its first waiter,
+    /// or [`NO_WAITERS`].
+    waiters: u32,
+    /// The holder's release time is known and stored in `at`.
+    released: bool,
+    /// A `Release` event for this channel sits in the queue.
+    release_queued: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<ChanState>() <= 24);
+
+impl ChanState {
+    /// Whether an event at `t` finds the channel free.
+    fn is_free(&self, t: Time) -> bool {
+        self.holder == FREE || (self.released && self.at <= t)
+    }
 }
 
 struct NodeState<P> {
@@ -86,8 +119,9 @@ struct NodeState<P> {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// Channel released — processed before same-time head movements so a
-    /// channel freed at `t` is acquirable at `t`.
+    /// A queued channel release: wakes the channel's waiters.  Priority 0,
+    /// so it precedes same-time head movements — the order
+    /// `ChanState::is_free` gives unqueued releases.
     Release(u32),
     NodeKick(u32),
     WormStart(u32),
@@ -131,13 +165,14 @@ pub struct Engine<'t, Prog: Program> {
     /// [`TraceSink::needs_unique_worm_ids`]).
     free_worms: Vec<u32>,
     channels: Vec<ChanState>,
+    /// Waiting worms as (slot, generation-at-blocking) pairs, one list per
+    /// channel that has had a waiter (see `ChanState::waiters`).
+    waiters: Vec<Vec<(u32, u32)>>,
     nodes: Vec<NodeState<Prog::Payload>>,
     queue: EventQueue,
     /// Scratch for `candidates()` — reused across events so a steady-state
     /// step allocates nothing.
     cand_scratch: Vec<ChannelId>,
-    /// Scratch for the drain-path release schedule.
-    pending_scratch: Vec<(Time, u32)>,
     finish: Time,
     messages: Vec<MessageRecord>,
     blocked_cycles: Time,
@@ -145,13 +180,22 @@ pub struct Engine<'t, Prog: Program> {
     channel_busy: Time,
     /// Always-on per-channel accumulators (a plain indexed add each, no
     /// observer needed): busy cycles, blocked cycles attributed to the
-    /// channel finally acquired, and acquisition counts.  Reduced into
+    /// channel finally acquired, and acquisition counts.  Moved into
     /// [`SimResult::channels`] for contention heatmaps.
-    chan_busy: Vec<Time>,
-    chan_blocked: Vec<Time>,
-    chan_acquires: Vec<u64>,
+    telemetry: Vec<ChannelTelemetry>,
+    /// Channels acquired at least once and nodes that queued a send, in
+    /// first-touch order: the end-of-run checks scan these, not the
+    /// network.
+    touched_channels: Vec<u32>,
+    touched_nodes: Vec<u32>,
     acquires: u64,
     releases: u64,
+    /// Releases applied as timestamps and never queued; each counts as a
+    /// processed event at the end of the run.
+    unqueued_releases: u64,
+    /// Queue every release, waited on or not: set for observers that
+    /// record events in time order (see [`TraceSink::needs_unique_worm_ids`]).
+    queue_every_release: bool,
     obs: TraceSink,
     events_processed: u64,
     events_scheduled: u64,
@@ -205,11 +249,14 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             free_worms: Vec::new(),
             channels: (0..g.n_channels())
                 .map(|_| ChanState {
-                    holder: None,
-                    acquired_at: 0,
-                    waiters: Vec::new(),
+                    at: 0,
+                    holder: FREE,
+                    waiters: NO_WAITERS,
+                    released: false,
+                    release_queued: false,
                 })
                 .collect(),
+            waiters: Vec::new(),
             nodes: (0..g.n_nodes())
                 .map(|_| NodeState {
                     cpu_free: 0,
@@ -220,17 +267,18 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 .collect(),
             queue: EventQueue::new(),
             cand_scratch: Vec::new(),
-            pending_scratch: Vec::new(),
             finish: 0,
             messages: Vec::new(),
             blocked_cycles: 0,
             blocked_events: 0,
             channel_busy: 0,
-            chan_busy: vec![0; g.n_channels()],
-            chan_blocked: vec![0; g.n_channels()],
-            chan_acquires: vec![0; g.n_channels()],
+            telemetry: vec![ChannelTelemetry::default(); g.n_channels()],
+            touched_channels: Vec::new(),
+            touched_nodes: Vec::new(),
             acquires: 0,
             releases: 0,
+            unqueued_releases: 0,
+            queue_every_release: false,
             obs,
             events_processed: 0,
             events_scheduled: 0,
@@ -256,6 +304,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     pub fn run(mut self) -> (Prog, SimResult) {
         let wall_start = std::time::Instant::now();
         let observing = self.obs.enabled();
+        self.queue_every_release = self.obs.needs_unique_worm_ids();
         while let Some((t, _ord, ev)) = self.queue.pop() {
             self.finish = self.finish.max(t);
             self.events_processed += 1;
@@ -270,8 +319,15 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 self.obs.on_tick(t, self.events_processed);
             }
         }
-        // Always-on integrity checks: a violation is an engine bug, and the
-        // scans are trivially cheap relative to a run.
+        // Releases nobody waited on were applied as timestamps; they count
+        // as processed model events all the same.
+        self.events_processed += self.unqueued_releases;
+        if let TraceSink::Counters(counts) = &mut self.obs {
+            counts.releases += self.unqueued_releases;
+        }
+        // Always-on integrity checks: a violation is an engine bug.  They
+        // scan only what the run touched — a channel never acquired cannot
+        // be held, a node that never queued a send has nothing queued.
         assert!(
             self.worms.iter().all(|w| w.phase == Phase::Done),
             "run ended with undelivered worms (deadlock?)"
@@ -281,11 +337,16 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             "channel acquire/release imbalance"
         );
         assert!(
-            self.channels.iter().all(|c| c.holder.is_none()),
+            self.touched_channels.iter().all(|&c| {
+                let ch = &self.channels[c as usize];
+                ch.holder == FREE || ch.released
+            }),
             "run ended with held channels (leak)"
         );
         assert!(
-            self.nodes.iter().all(|n| n.queue.is_empty()),
+            self.touched_nodes
+                .iter()
+                .all(|&n| self.nodes[n as usize].queue.is_empty()),
             "run ended with queued sends never issued"
         );
         let wall_ns = wall_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -311,19 +372,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 self.events_processed as f64 * 1e9 / wall_ns as f64
             },
         };
-        let channels: Vec<crate::stats::ChannelTelemetry> = self
-            .chan_busy
-            .iter()
-            .zip(&self.chan_blocked)
-            .zip(&self.chan_acquires)
-            .map(
-                |((&busy, &blocked), &acquires)| crate::stats::ChannelTelemetry {
-                    busy,
-                    blocked,
-                    acquires,
-                },
-            )
-            .collect();
         // Flush the run's totals into the process-global telemetry counters
         // in bulk — one relaxed add per counter per *run*, so campaign
         // worker threads never contend on a cache line inside the event
@@ -340,7 +388,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             blocked_cycles: self.blocked_cycles,
             blocked_events: self.blocked_events,
             channel_busy_cycles: self.channel_busy,
-            channels,
+            channels: self.telemetry,
             counts: sink.counts,
             trace: sink.events,
             truncated: sink.truncated,
@@ -377,8 +425,38 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
 
     fn schedule(&mut self, t: Time, e: Event) {
         self.events_scheduled += 1;
+        self.push(t, e);
+    }
+
+    fn push(&mut self, t: Time, e: Event) {
         self.queue.push(t, self.ord_of(e), e.pack());
         self.peak_heap = self.peak_heap.max(self.queue.len());
+    }
+
+    /// Channel `c` frees at `r`: account its busy time and the release
+    /// once, and record `r` as its `free_at`.  A `Release` event is queued
+    /// only if a worm already waits on `c` or the observer records every
+    /// release in order; a waiter arriving later queues it then (see
+    /// [`Engine::on_advance`]).
+    fn release_at(&mut self, c: u32, r: Time) {
+        let ch = &mut self.channels[c as usize];
+        debug_assert!(ch.holder != FREE && !ch.released, "double release of ch{c}");
+        let busy = r - ch.at;
+        ch.at = r;
+        ch.released = true;
+        let queue = self.queue_every_release
+            || (ch.waiters != NO_WAITERS && !self.waiters[ch.waiters as usize].is_empty());
+        self.channel_busy += busy;
+        self.telemetry[c as usize].busy += busy;
+        self.releases += 1;
+        self.events_scheduled += 1;
+        self.finish = self.finish.max(r);
+        if queue {
+            self.channels[c as usize].release_queued = true;
+            self.push(r, Event::Release(c));
+        } else {
+            self.unqueued_releases += 1;
+        }
     }
 
     fn enqueue_sends(&mut self, node: NodeId, now: Time, sends: Vec<SendReq<Prog::Payload>>) {
@@ -389,6 +467,9 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             assert_ne!(s.dest, node, "node {node:?} may not send to itself");
         }
         let ns = &mut self.nodes[node.idx()];
+        if ns.issued == 0 && ns.queue.is_empty() {
+            self.touched_nodes.push(node.0);
+        }
         // Stable insert by `not_before`: a send with an earlier constraint
         // never waits behind one constrained to the far future (concurrent
         // multicasts with staggered starts share node CPUs).  Each
@@ -466,13 +547,15 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             slot
         } else {
             let w = self.worms.len() as u32;
+            // Routes are minimal: injection, `distance` hops, consumption.
+            let path = Vec::with_capacity(self.topo.distance(node, req.dest) + 2);
             self.worms.push(Worm {
                 src: node,
                 dest: req.dest,
                 bytes: req.bytes,
                 flits,
                 payload: Some(req.payload),
-                path: Vec::new(),
+                path,
                 release_ptr: 0,
                 initiated: t,
                 injected: 0,
@@ -528,7 +611,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         let free = cand
             .iter()
             .copied()
-            .find(|c| self.channels[c.idx()].holder.is_none());
+            .find(|c| self.channels[c.idx()].is_free(t));
         match free {
             None => {
                 // Blocked: remember when, wait on every candidate.
@@ -540,7 +623,21 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                     self.obs.on_blocked(t, w, first);
                 }
                 for &c in &cand {
-                    self.channels[c.idx()].waiters.push((w, generation));
+                    let ch = &mut self.channels[c.idx()];
+                    if ch.waiters == NO_WAITERS {
+                        ch.waiters = self.waiters.len() as u32;
+                        self.waiters.push(Vec::new());
+                    }
+                    self.waiters[ch.waiters as usize].push((w, generation));
+                    // A release already known but not queued (nobody waited
+                    // when its time was set) must now wake this waiter at
+                    // exactly `free_at`; the flag keeps one entry per release.
+                    if ch.released && !ch.release_queued {
+                        ch.release_queued = true;
+                        let free_at = ch.at;
+                        self.unqueued_releases -= 1;
+                        self.push(free_at, Event::Release(c.0));
+                    }
                 }
             }
             Some(c) => {
@@ -550,7 +647,8 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 // advance the worm a second time at that instant).
                 if self.worms[w as usize].block_start.is_some() {
                     for &cc in &cand {
-                        self.channels[cc.idx()].waiters.retain(|&(ww, _)| ww != w);
+                        let list = self.channels[cc.idx()].waiters as usize;
+                        self.waiters[list].retain(|&(ww, _)| ww != w);
                     }
                 }
                 self.acquire(w, c, t);
@@ -563,13 +661,18 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         let g = self.graph;
         let dest = self.worms[w as usize].dest;
         self.acquires += 1;
-        self.chan_acquires[c.idx()] += 1;
+        let tel = &mut self.telemetry[c.idx()];
+        if tel.acquires == 0 {
+            self.touched_channels.push(c.0);
+        }
+        tel.acquires += 1;
         self.obs.on_channel_acquire(t, w, c);
         {
             let ch = &mut self.channels[c.idx()];
-            debug_assert!(ch.holder.is_none());
-            ch.holder = Some(w);
-            ch.acquired_at = t;
+            debug_assert!(ch.is_free(t) && !ch.release_queued);
+            ch.holder = w;
+            ch.at = t;
+            ch.released = false;
         }
         let worm = &mut self.worms[w as usize];
         if let Some(b) = worm.block_start.take() {
@@ -579,7 +682,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 self.blocked_events += 1;
                 // Attribute the wait to the channel that finally opened —
                 // the contended resource a heatmap should highlight.
-                self.chan_blocked[c.idx()] += t - b;
+                self.telemetry[c.idx()].blocked += t - b;
             }
         }
         let first_hop = worm.path.is_empty();
@@ -603,7 +706,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             self.obs.on_inject_start(t, w, c);
         }
         if let Some(rel) = tail_release {
-            self.schedule(t, Event::Release(rel.0));
+            self.release_at(rel.0, t);
         }
         let rd = self.cfg.router_delay;
         if g.dst_node(c) == Some(dest) {
@@ -615,42 +718,38 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             let tail_consumed = t + rd + worm.flits - 1;
             worm.drain_start = t;
             worm.tail_consumed = tail_consumed;
+            let first = std::mem::replace(&mut worm.release_ptr, p);
             // Channel j frees once every flit not yet past it has drained:
             // at most B flits fit in each of the (p-1-j) downstream buffers.
             let buf = self.cfg.buffer_flits.max(1);
-            let mut pending = std::mem::take(&mut self.pending_scratch);
-            pending.clear();
-            pending.extend((worm.release_ptr..p).map(|j| {
-                let ch = worm.path[j];
+            for j in first..p {
+                let ch = self.worms[w as usize].path[j].0;
                 let downstream = buf * (p - 1 - j) as Time;
-                (tail_consumed.saturating_sub(downstream), ch.0)
-            }));
-            worm.release_ptr = p;
-            for &(rel_at, ch) in &pending {
-                let floor = self.channels[ch as usize].acquired_at + 1;
-                self.schedule(rel_at.max(floor), Event::Release(ch));
+                let floor = self.channels[ch as usize].at + 1;
+                self.release_at(ch, tail_consumed.saturating_sub(downstream).max(floor));
             }
-            self.pending_scratch = pending;
             self.schedule(tail_consumed, Event::RecvSoftware(w));
         } else {
             self.schedule(t + rd, Event::HeadAdvance(w));
         }
     }
 
+    /// A queued release (see [`Engine::release_at`], which already did the
+    /// accounting): free the channel and wake its waiters.
     fn on_release(&mut self, c: ChannelId, t: Time) {
-        self.releases += 1;
-        if self.obs.enabled() {
-            let holder = self.channels[c.idx()]
-                .holder
-                .expect("release of a free channel");
-            self.obs.on_channel_release(t, holder, c);
-        }
         let ch = &mut self.channels[c.idx()];
-        debug_assert!(ch.holder.is_some(), "double release of {c:?}");
-        ch.holder = None;
-        self.channel_busy += t - ch.acquired_at;
-        self.chan_busy[c.idx()] += t - ch.acquired_at;
-        let mut waiters = std::mem::take(&mut ch.waiters);
+        debug_assert!(
+            ch.holder != FREE && ch.released && ch.at == t,
+            "stray release of {c:?}"
+        );
+        let holder = std::mem::replace(&mut ch.holder, FREE);
+        ch.release_queued = false;
+        let list = ch.waiters;
+        self.obs.on_channel_release(t, holder, c);
+        if list == NO_WAITERS {
+            return; // queued for a time-ordered observer only
+        }
+        let mut waiters = std::mem::take(&mut self.waiters[list as usize]);
         for &(w, generation) in &waiters {
             let worm = &mut self.worms[w as usize];
             // The generation check drops entries filed by a retired
@@ -668,7 +767,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         // allocate in steady state.  Nothing re-files a waiter during the
         // loop — retries are scheduled as events, not run inline.
         waiters.clear();
-        self.channels[c.idx()].waiters = waiters;
+        self.waiters[list as usize] = waiters;
     }
 
     /// The tail flit is in the NI; the receive software runs as soon as the
@@ -1210,6 +1309,84 @@ mod tests {
         assert_eq!(c.acquires, acquires);
         assert_eq!(c.releases, acquires);
         assert_eq!(base.counts, None);
+    }
+
+    /// Run `sends` (src, dst, bytes, start) under `sink` (`None`: Null).
+    fn run_sends(
+        topo: &dyn Topology,
+        cfg: &SimConfig,
+        sends: &[(u32, u32, u64, Time)],
+        sink: Option<TraceSink>,
+    ) -> SimResult {
+        let mut e = Engine::new(topo, cfg.clone(), SinkProgram);
+        if let Some(s) = sink {
+            e.set_observer(s);
+        }
+        for &(src, dst, bytes, at) in sends {
+            e.start(NodeId(src), at, vec![SendReq::to(NodeId(dst), bytes, ())]);
+        }
+        e.run().1
+    }
+
+    #[test]
+    fn late_waiter_wakes_at_the_known_release_time() {
+        // 0 -> 5 (1001 flits) holds its whole path and starts draining at
+        // cycle 6, which fixes every release: channel 2->3 (path index 3 of
+        // 7) frees at 1007 - 3 = 1004, channel 3->4 at 1005.  Nobody waits
+        // then, so neither release is queued.  2 -> 4 blocks on 2->3 at
+        // cycle 101 and must be woken at exactly 1004.
+        let m = Mesh::new(&[6]);
+        let sends = [(0, 5, 8000, 0), (2, 4, 8, 100)];
+        let r = run_sends(&m, &bare_cfg(), &sends, None);
+        let small = r.delivered_to(NodeId(4)).unwrap();
+        assert_eq!(small.blocked, 1004 - 101);
+        // 2->3 at 1004, 3->4 at 1005 (free that very cycle), consumption
+        // at 1006; two flits drain by 1008.
+        assert_eq!(small.drain_start, 1006);
+        assert_eq!(small.completed, 1008);
+        // The queued path (every release an event) agrees to the byte.
+        let traced = run_sends(&m, &bare_cfg(), &sends, Some(TraceSink::memory()));
+        assert_eq!(traced.messages, r.messages);
+        assert_eq!(traced.meta.events_processed, r.meta.events_processed);
+        assert!(r.meta.peak_heap_events < traced.meta.peak_heap_events);
+    }
+
+    #[test]
+    fn tail_released_while_climbing_is_acquirable_the_same_cycle() {
+        // A 2-flit worm 0 -> 5 frees path index i - 2 as its head takes
+        // index i: 1->2 at cycle 4, 2->3 at cycle 5.  A worm 1 -> 3 started
+        // at cycle 3 asks for 1->2 at 4 and 2->3 at 5, each after the
+        // releasing event of that cycle (node 0's worm ranks first), so it
+        // follows the tail without blocking.
+        let m = Mesh::new(&[6]);
+        let sends = [(0, 5, 8, 0), (1, 3, 8, 3)];
+        for sink in [None, Some(TraceSink::counters()), Some(TraceSink::memory())] {
+            let r = run_sends(&m, &bare_cfg(), &sends, sink);
+            assert!(r.contention_free(), "{:?}", r.messages);
+            let follower = r.delivered_to(NodeId(3)).unwrap();
+            assert_eq!(follower.injected, 3);
+            assert_eq!(follower.drain_start, 6);
+            assert_eq!(follower.completed, 8);
+        }
+    }
+
+    #[test]
+    fn finish_counts_an_unqueued_last_release() {
+        // One flit, no header, zero router delay and zero software: every
+        // hop happens at cycle 0 and the message completes at 0, but the
+        // consumption channel frees one cycle after its acquisition.  No
+        // event is queued for that release, and `finish` still counts it.
+        let m = Mesh::new(&[4]);
+        let mut cfg = bare_cfg();
+        cfg.router_delay = 0;
+        cfg.header_flits = 0;
+        let sends = [(0, 3, 8, 0)];
+        let r = run_sends(&m, &cfg, &sends, None);
+        assert_eq!(r.messages[0].completed, 0);
+        assert_eq!(r.finish, 1);
+        let traced = run_sends(&m, &cfg, &sends, Some(TraceSink::memory()));
+        assert_eq!(traced.finish, 1);
+        assert_eq!(traced.meta.events_processed, r.meta.events_processed);
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! it tallies events by kind into plain-`u64` [`EventCounts`] without
 //! retaining anything, so (unlike the full observers) it does not need
 //! globally unique worm ids and leaves the engine's worm-slab slot-reuse
-//! fast path enabled — see [`TraceSink::needs_unique_worm_ids`].
+//! fast path enabled — see [`TraceSink::needs_unique_worm_ids`].  Nor does
+//! it need releases in time order, so the engine applies a release nobody
+//! waits on as a timestamp and hands the sink those releases' tally at the
+//! end of the run.
 //!
 //! On top of the raw stream, [`Metrics`] derives latency/blocking
 //! histograms ([`Histogram`], log₂ buckets — promoted to the `telem`
@@ -151,7 +154,9 @@ pub enum TraceSink {
     /// Tally events by kind, retain nothing.  The cheapest *enabled*
     /// observer: every hook is a `u64` increment, and because no event
     /// (hence no worm id) outlives the run, the engine keeps its
-    /// worm-slab slot-reuse fast path on.
+    /// worm-slab slot-reuse fast path on, and queues a channel release
+    /// only when a worm waits on it (releases nobody waited on are tallied
+    /// at the end of the run).
     Counters(EventCounts),
     /// Stream events as JSON Lines to a writer; nothing is retained in
     /// memory.  Write errors are sticky: the first one stops the stream
@@ -331,7 +336,10 @@ impl TraceSink {
     /// `Ring`, `Jsonl`, active `Custom`) need this — reusing a slot would
     /// alias two different worms in the recorded trace.  `Null` and
     /// `Counters` retain nothing, so the engine keeps its slot-reuse fast
-    /// path on for them.
+    /// path on for them.  The sinks that need unique ids are also the ones
+    /// that record events in time order, so the engine queues every channel
+    /// release for them; for `Null` and `Counters` it queues only the
+    /// releases a worm waits on.
     #[inline]
     pub fn needs_unique_worm_ids(&self) -> bool {
         match self {
@@ -396,10 +404,31 @@ impl Observer for TraceSink {
         self.enabled()
     }
 
+    /// Inlined into every hook, so for `Null` and `Counters` a hook is a
+    /// discriminant test (plus one increment) and the event is never built;
+    /// the sinks that keep events take the out-of-line [`TraceSink::keep`].
+    #[inline]
     fn on_event(&mut self, e: TraceEvent) {
         match self {
             TraceSink::Null => {}
             TraceSink::Counters(c) => c.tally(e.kind),
+            _ => self.keep(e),
+        }
+    }
+
+    #[inline]
+    fn on_tick(&mut self, t: Time, events_processed: u64) {
+        if let TraceSink::Custom(o) = self {
+            o.on_tick(t, events_processed);
+        }
+    }
+}
+
+impl TraceSink {
+    /// [`Observer::on_event`] for the sinks that keep or forward events.
+    fn keep(&mut self, e: TraceEvent) {
+        match self {
+            TraceSink::Null | TraceSink::Counters(_) => {}
             TraceSink::Memory {
                 events,
                 limit,
@@ -438,12 +467,6 @@ impl Observer for TraceSink {
                 }
             }
             TraceSink::Custom(o) => o.on_event(e),
-        }
-    }
-
-    fn on_tick(&mut self, t: Time, events_processed: u64) {
-        if let TraceSink::Custom(o) = self {
-            o.on_tick(t, events_processed);
         }
     }
 }
@@ -509,11 +532,19 @@ impl PhaseBreakdown {
 /// deterministic.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunMeta {
-    /// Events popped from the event heap.
+    /// Model events processed: every event popped from the event queue,
+    /// plus every channel release that nobody waited on.  Such a release
+    /// is applied as a timestamp on its channel and never queued, but it
+    /// counts here once all the same, so the count does not depend on the
+    /// observer.
     pub events_processed: u64,
-    /// Events scheduled (popped + any cancelled stale retries).
+    /// Model events scheduled (popped, stale retries included), each
+    /// channel release counted once, queued or not.  Equals
+    /// `events_processed` once the run is over.
     pub events_scheduled: u64,
-    /// High-water mark of the pending-event heap — the dominant term of the
+    /// High-water mark of the event queue: entries it actually held, so
+    /// releases applied as timestamps are not in it.  Retaining observers
+    /// queue every release and read higher.  The dominant term of the
     /// engine's peak heap footprint.
     pub peak_heap_events: usize,
     /// Estimated peak heap bytes (pending events + worm/channel state +

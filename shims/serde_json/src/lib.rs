@@ -83,7 +83,11 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                let b = c as u8;
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
             c => out.push(c),
         }
@@ -98,19 +102,39 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
+/// Append the decimal digits of `u`, with no intermediate `String`.
+fn push_u64(out: &mut String, mut u: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (u % 10) as u8;
+        u /= 10;
+        if u == 0 {
+            break;
+        }
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
 fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Int(i) => {
+            if *i < 0 {
+                out.push('-');
+            }
+            push_u64(out, i.unsigned_abs());
+        }
+        Value::UInt(u) => push_u64(out, *u),
         Value::Float(f) => {
             if f.is_finite() {
                 // Rust's shortest round-trippable representation; force a
                 // fractional marker so the value re-parses as a float.
-                let s = f.to_string();
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
+                let start = out.len();
+                let _ = fmt::Write::write_fmt(out, format_args!("{f}"));
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -434,6 +458,49 @@ mod tests {
         assert_eq!(s, "2.0");
         let v: Value = from_str(&s).unwrap();
         assert_eq!(v, Value::Float(2.0));
+    }
+
+    #[test]
+    fn writer_bytes_are_pinned() {
+        let cases: [(Value, &str); 18] = [
+            (Value::Int(i64::MIN), "-9223372036854775808"),
+            (Value::Int(-1), "-1"),
+            (Value::Int(0), "0"),
+            (Value::Int(i64::MAX), "9223372036854775807"),
+            (Value::UInt(0), "0"),
+            (Value::UInt(7), "7"),
+            (Value::UInt(u64::MAX), "18446744073709551615"),
+            (Value::Float(0.5), "0.5"),
+            (Value::Float(-3.0), "-3.0"),
+            (Value::Float(1e-7), "0.0000001"),
+            (Value::Float(1e21), "1000000000000000000000.0"),
+            (Value::Float(f64::NAN), "null"),
+            (Value::Float(f64::NEG_INFINITY), "null"),
+            (Value::Str("\u{1}".into()), r#""\u0001""#),
+            (Value::Str("\u{1f}".into()), r#""\u001f""#),
+            (
+                Value::Str("a\u{0}b\u{10}\n\r\t\"\\\u{7f}".into()),
+                "\"a\\u0000b\\u0010\\n\\r\\t\\\"\\\\\u{7f}\"",
+            ),
+            (Value::Str("héllo ✓ 日本".into()), "\"héllo ✓ 日本\""),
+            (
+                Value::Object(vec![
+                    ("n\u{2}".into(), Value::Int(-42)),
+                    (
+                        "xs".into(),
+                        Value::Array(vec![Value::UInt(10), Value::Float(2.25)]),
+                    ),
+                ]),
+                r#"{"n\u0002":-42,"xs":[10,2.25]}"#,
+            ),
+        ];
+        for (v, want) in &cases {
+            assert_eq!(to_string(v).unwrap(), *want, "{v:?}");
+        }
+        assert_eq!(
+            to_string_pretty(&cases[17].0).unwrap(),
+            "{\n  \"n\\u0002\": -42,\n  \"xs\": [\n    10,\n    2.25\n  ]\n}"
+        );
     }
 
     #[test]
