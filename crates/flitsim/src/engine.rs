@@ -806,7 +806,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         let dest = worm.dest;
         // Retire the slot: stale waiter entries die with the generation.
         // Reuse is disabled only for sinks that retain events keyed by worm
-        // id (`Memory`/`Ring`/`Jsonl`/active `Custom`) so recorded ids stay
+        // id (`Memory`/`Jsonl`/active `Custom`) so recorded ids stay
         // unique; `Null` and `Counters` keep the fast path (observation
         // never alters simulation outcomes — ids don't feed back into
         // timing).
@@ -1236,7 +1236,7 @@ mod tests {
 
     #[test]
     fn observer_choice_never_alters_simulation() {
-        // The same workload under Null, Counters, Memory, Ring and Custom
+        // The same workload under Null, Counters, Memory and Custom
         // observers must produce identical simulation outcomes (messages,
         // blocking, finish) — observation is read-only.
         let b = Bmin::new(4, UpPolicy::Straight);
@@ -1256,7 +1256,6 @@ mod tests {
         for sink in [
             crate::obs::TraceSink::counters(),
             crate::obs::TraceSink::memory(),
-            crate::obs::TraceSink::ring(4),
             crate::obs::TraceSink::Custom(Box::new(Nop)),
         ] {
             let r = run(Some(sink));

@@ -1,5 +1,5 @@
 //! The engine's event queue — a calendar (bucket-ring) queue with a heap
-//! fallback, popping in ascending `(t, ord)` order.
+//! for far-future events, popping in ascending `(t, ord)` order.
 //!
 //! # Ordering contract
 //!
@@ -29,11 +29,13 @@
 //!   word scans;
 //! * far-future events (campaign `not_before` staggering) overflow into a
 //!   plain binary heap and migrate into the ring whenever the cursor
-//!   advances past the point where they fit;
-//! * events scheduled *before* the cursor — legal: deep-buffer release
-//!   clamping can emit a release older than the event being processed — go
-//!   to a second heap that is always drained first (its entries are
-//!   strictly earlier than anything bucketed).
+//!   advances past the point where they fit.
+//!
+//! Nothing is ever scheduled before the cursor (the time of the last
+//! event popped): the engine schedules every event, releases included, at
+//! or after the cycle it is processing.  `push` asserts this on every call,
+//! in release builds too, because an earlier event would pop out of order
+//! and silently change the simulation.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -68,7 +70,6 @@ pub(crate) struct EventQueue {
     len: usize,
     bucketed: usize,
     overflow: BinaryHeap<Reverse<(Time, u64, u64)>>,
-    past: BinaryHeap<Reverse<(Time, u64, u64)>>,
 }
 
 impl EventQueue {
@@ -82,7 +83,6 @@ impl EventQueue {
             len: 0,
             bucketed: 0,
             overflow: BinaryHeap::new(),
-            past: BinaryHeap::new(),
         }
     }
 
@@ -91,10 +91,13 @@ impl EventQueue {
     }
 
     pub fn push(&mut self, t: Time, ord: u64, ev: u64) {
+        assert!(
+            t >= self.cursor,
+            "event scheduled at {t}, before the queue cursor {}",
+            self.cursor
+        );
         self.len += 1;
-        if t < self.cursor {
-            self.past.push(Reverse((t, ord, ev)));
-        } else if t >= self.cursor.saturating_add(SLOTS as Time) {
+        if t >= self.cursor.saturating_add(SLOTS as Time) {
             self.overflow.push(Reverse((t, ord, ev)));
         } else {
             self.bucket(t, ord, ev);
@@ -104,13 +107,6 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(Time, u64, u64)> {
         if self.len == 0 {
             return None;
-        }
-        // Past events are strictly earlier than everything bucketed or
-        // overflowed (they were pushed with t < cursor, and the cursor
-        // never moves backwards), so they drain first, in heap order.
-        if let Some(Reverse((t, ord, ev))) = self.past.pop() {
-            self.len -= 1;
-            return Some((t, ord, ev));
         }
         if self.bucketed == 0 {
             // Everything pending is far-future: jump the window to it.
@@ -263,10 +259,10 @@ mod tests {
         while pushed < pushes || q.len() > 0 {
             let do_push = pushed < pushes && (q.len() == 0 || !rng.next().is_multiple_of(3));
             if do_push {
-                // Mix near-future, far-future (overflow) and, once time has
-                // advanced, past-of-cursor times (the release-clamp case).
+                // Mix same-instant, near-future and far-future (overflow)
+                // times; `now` is the queue's cursor.
                 let t = match rng.next() % 10 {
-                    0 => now.saturating_sub(rng.next() % 50),
+                    0 => now,
                     1 => now + SLOTS as Time + rng.next() % time_spread,
                     _ => now + rng.next() % 700,
                 };
@@ -318,16 +314,13 @@ mod tests {
     }
 
     #[test]
-    fn past_events_pop_before_bucketed_ones() {
+    #[should_panic(expected = "before the queue cursor 1000")]
+    fn pushing_before_the_cursor_panics() {
         let mut q = EventQueue::new();
         q.push(1000, 1, 1);
         assert_eq!(q.pop(), Some((1000, 1, 1)));
-        // Cursor is now 1000; a clamp-style earlier event must still come
-        // out before anything later, at its own (unclamped) time.
+        // The cursor is now 1000: an earlier event would pop out of order.
         q.push(400, 2, 2);
-        q.push(1001, 3, 3);
-        assert_eq!(q.pop(), Some((400, 2, 2)));
-        assert_eq!(q.pop(), Some((1001, 3, 3)));
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! every hook to a discriminant test, so a run with observation disabled
 //! pays nothing and produces results identical to one with the hooks
 //! compiled out.  The other arms collect in memory (optionally bounded),
-//! keep a bounded ring of the most recent events, stream JSONL to a
-//! writer, or forward to a caller-supplied [`Observer`].
+//! stream JSONL to a writer, or forward to a caller-supplied [`Observer`].
 //!
 //! Between `Null` and the retaining sinks sits [`TraceSink::Counters`]:
 //! it tallies events by kind into plain-`u64` [`EventCounts`] without
@@ -30,7 +29,6 @@
 //! into a human-readable run report; [`crate::perfetto`] exports the same
 //! stream for the Perfetto / `chrome://tracing` UI.
 
-use std::collections::VecDeque;
 use std::io::Write;
 
 use pcm::Time;
@@ -145,12 +143,6 @@ pub enum TraceSink {
         limit: Option<usize>,
         dropped: u64,
     },
-    /// Keep only the most recent `cap` events (crash-dump style).
-    Ring {
-        buf: VecDeque<TraceEvent>,
-        cap: usize,
-        dropped: u64,
-    },
     /// Tally events by kind, retain nothing.  The cheapest *enabled*
     /// observer: every hook is a `u64` increment, and because no event
     /// (hence no worm id) outlives the run, the engine keeps its
@@ -185,15 +177,6 @@ impl std::fmt::Debug for TraceSink {
                 limit,
                 dropped
             ),
-            TraceSink::Ring { buf, cap, dropped } => {
-                write!(
-                    f,
-                    "TraceSink::Ring({}/{} events, {} dropped)",
-                    buf.len(),
-                    cap,
-                    dropped
-                )
-            }
             TraceSink::Counters(c) => {
                 write!(f, "TraceSink::Counters({} events)", c.total())
             }
@@ -264,8 +247,7 @@ impl EventCounts {
 pub struct SinkSummary {
     /// Events retained in memory (empty for `Null`/`Jsonl`).
     pub events: Vec<TraceEvent>,
-    /// Events the sink saw but could not retain (memory limit hit, ring
-    /// overwrote, or JSONL write failed).
+    /// Events the sink saw but could not retain (memory limit hit).
     pub dropped: u64,
     /// True when `dropped > 0` on a sink that promises completeness
     /// (`Memory` with a limit) — the trace is a prefix, not the whole run.
@@ -297,15 +279,6 @@ impl TraceSink {
         }
     }
 
-    /// A ring sink keeping the `cap` most recent events.
-    pub fn ring(cap: usize) -> Self {
-        TraceSink::Ring {
-            buf: VecDeque::with_capacity(cap.min(4096)),
-            cap: cap.max(1),
-            dropped: 0,
-        }
-    }
-
     /// A streaming JSON-Lines sink (one event object per line).
     pub fn jsonl(out: Box<dyn Write>) -> Self {
         TraceSink::Jsonl {
@@ -333,7 +306,7 @@ impl TraceSink {
 
     /// Whether retired worm slots must stay unique for the lifetime of the
     /// run.  Sinks that retain or stream events keyed by worm id (`Memory`,
-    /// `Ring`, `Jsonl`, active `Custom`) need this — reusing a slot would
+    /// `Jsonl`, active `Custom`) need this — reusing a slot would
     /// alias two different worms in the recorded trace.  `Null` and
     /// `Counters` retain nothing, so the engine keeps its slot-reuse fast
     /// path on for them.  The sinks that need unique ids are also the ones
@@ -361,15 +334,6 @@ impl TraceSink {
                 events,
                 dropped,
                 truncated: limit.is_some() && dropped > 0,
-                streamed: 0,
-                write_error: None,
-                counts: None,
-            },
-            TraceSink::Ring { buf, dropped, .. } => SinkSummary {
-                events: buf.into_iter().collect(),
-                dropped,
-                // A ring never promises completeness; dropping is its job.
-                truncated: dropped > 0,
                 streamed: 0,
                 write_error: None,
                 counts: None,
@@ -439,13 +403,6 @@ impl TraceSink {
                 } else {
                     *dropped += 1;
                 }
-            }
-            TraceSink::Ring { buf, cap, dropped } => {
-                if buf.len() == *cap {
-                    buf.pop_front();
-                    *dropped += 1;
-                }
-                buf.push_back(e);
             }
             TraceSink::Jsonl {
                 out,
@@ -704,22 +661,6 @@ mod tests {
         assert!(!TraceSink::Null.needs_unique_worm_ids());
         assert!(!TraceSink::counters().needs_unique_worm_ids());
         assert!(TraceSink::memory().needs_unique_worm_ids());
-        assert!(TraceSink::ring(4).needs_unique_worm_ids());
-    }
-
-    #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut s = TraceSink::ring(3);
-        for t in 0..10u64 {
-            s.on_event(TraceEvent::on_channel(t, 0, None, TraceKind::Acquire));
-        }
-        let sum = s.finish();
-        assert_eq!(
-            sum.events.iter().map(|e| e.t).collect::<Vec<_>>(),
-            vec![7, 8, 9]
-        );
-        assert_eq!(sum.dropped, 7);
-        assert!(sum.truncated);
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   verified [`netcheck::PlanCertificate`].
 //!
 //! The blocking shell lives in the CLI crate as `optmc serve` (stdin/
-//! stdout and TCP) and `optmc plan` (one-shot); the `bench_plan` binary
-//! drives the same engine for throughput numbers.  Service counters are
+//! stdout and TCP) and `optmc plan` (one-shot); the `perfbench/`
+//! benchmark drives the same engine for timing.  Service counters are
 //! declared here as `telem` statics ([`REQUESTS`], [`HITS`], …) and also
 //! tracked per-engine in [`EngineStats`] (deterministic, so snapshots of
 //! one engine replay byte-identically).
@@ -87,8 +87,8 @@ impl EngineStats {
 /// synchronously via [`compute_plan`], and collect the emitted responses.
 ///
 /// This is the canonical *blocking* shell loop in miniature — the CLI's
-/// stdin mode, the tests, and `bench_plan` all use it — and it contains
-/// the only call site that turns a work order back into an
+/// stdin mode, the tests, and the `perfbench/` benchmark all use it — and
+/// it contains the only call site that turns a work order back into an
 /// [`Input::Computed`] event.
 pub fn step_blocking(
     engine: &mut Engine,

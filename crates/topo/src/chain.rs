@@ -6,6 +6,8 @@
 //! leaves them in whatever order the caller supplied (and pays for it with
 //! contention).
 
+use std::collections::HashSet;
+
 use serde::{Deserialize, Serialize};
 
 use crate::graph::NodeId;
@@ -32,6 +34,25 @@ impl std::fmt::Display for ChainError {
 }
 
 impl std::error::Error for ChainError {}
+
+/// Chains up to this long find duplicates by a pairwise scan, which is
+/// faster than building a hash set at that size (the two break even at
+/// about 48 nodes).
+const SCAN_LEN: usize = 48;
+
+/// The first node, in chain order, that repeats an earlier one.  Linear in
+/// the chain's length beyond [`SCAN_LEN`].
+fn first_repeat(nodes: &[NodeId]) -> Option<NodeId> {
+    if nodes.len() <= SCAN_LEN {
+        return nodes
+            .iter()
+            .enumerate()
+            .find(|&(i, n)| nodes[..i].contains(n))
+            .map(|(_, &n)| n);
+    }
+    let mut seen = HashSet::with_capacity(nodes.len());
+    nodes.iter().copied().find(|&n| !seen.insert(n))
+}
 
 /// An ordered chain of participants with the source's position.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -80,10 +101,8 @@ impl Chain {
     }
 
     fn try_from_ordered(nodes: Vec<NodeId>, src: NodeId) -> Result<Self, ChainError> {
-        for (i, n) in nodes.iter().enumerate() {
-            if nodes[..i].contains(n) {
-                return Err(ChainError::Duplicate(*n));
-            }
+        if let Some(n) = first_repeat(&nodes) {
+            return Err(ChainError::Duplicate(n));
         }
         let src_pos = nodes
             .iter()
@@ -167,6 +186,46 @@ mod tests {
         );
         let m = Mesh::new(&[4, 4]);
         assert!(Chain::try_sorted(&m, &[NodeId(2), NodeId(5)], NodeId(5)).is_ok());
+    }
+
+    #[test]
+    fn the_first_repeat_in_chain_order_is_reported() {
+        // On a 16x16 mesh node 3 = (3,0) has chain key 48 and node 200 =
+        // (8,12) key 140, node 40 = (8,2) key 130 and node 60 = (12,3) key
+        // 195.  Each case runs a short chain (pairwise scan) and one longer
+        // than SCAN_LEN (hash set).
+        let m = Mesh::new(&[16, 16]);
+        let dup = |head: &[u32], tail: &[u32], len: u32| {
+            let mut parts: Vec<NodeId> = head.iter().map(|&n| NodeId(n)).collect();
+            parts.extend((100..100 + len).map(NodeId));
+            parts.extend(tail.iter().map(|&n| NodeId(n)));
+            let src = parts[0];
+            (
+                Chain::try_unsorted(&parts, src),
+                Chain::try_sorted(&m, &parts, src),
+            )
+        };
+        for len in [0, 100] {
+            // 200 repeats before 3 does in the given order; sorted, the
+            // lower key (3) comes first.
+            assert_eq!(
+                dup(&[200, 3], &[200, 3], len),
+                (
+                    Err(ChainError::Duplicate(NodeId(200))),
+                    Err(ChainError::Duplicate(NodeId(3)))
+                ),
+                "len {len}"
+            );
+            // 60 appears after 40 but repeats first.
+            assert_eq!(
+                dup(&[40, 60], &[60, 40], len),
+                (
+                    Err(ChainError::Duplicate(NodeId(60))),
+                    Err(ChainError::Duplicate(NodeId(40)))
+                ),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

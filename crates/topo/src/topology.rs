@@ -172,8 +172,8 @@ pub trait Topology: Send + Sync {
     fn distance(&self, src: NodeId, dst: NodeId) -> usize;
 
     /// Sort `nodes` into this topology's chain order (stable, by
-    /// [`Topology::chain_key`]).
+    /// [`Topology::chain_key`], computed once per node).
     fn sort_chain(&self, nodes: &mut [NodeId]) {
-        nodes.sort_by_key(|&n| self.chain_key(n));
+        nodes.sort_by_cached_key(|&n| self.chain_key(n));
     }
 }

@@ -20,7 +20,9 @@ echo "==> optmc check (OPT-mesh on mesh:16x16)"
 cargo run --release -q -p optmc-cli --bin optmc -- \
     check --topo mesh:16x16 --alg opt-mesh --bytes 4096 --src 0
 
-echo "==> optmc check (OPT-min on bmin:128)"
+# OPT-min is certified from source 0 only: under deterministic routing
+# the certificate still fails for 45 of bmin:128's 128 sources (ROADMAP).
+echo "==> optmc check (OPT-min on bmin:128, source 0)"
 cargo run --release -q -p optmc-cli --bin optmc -- \
     check --topo bmin:128 --alg opt-min --bytes 4096 --src 0
 
@@ -76,15 +78,13 @@ cargo run --release -q -p optmc-cli --bin optmc -- \
 echo "==> zero-allocation hot path (allocmeter, Null + counters observers)"
 cargo test -q -p flitsim --test zero_alloc
 
-# Perf + determinism smoke: re-run every workload recorded in the committed
-# BENCH_sim.json (same runs, same seed).  The deterministic sentinels
-# (events_scheduled, peak_heap_events, mean_latency, sim_cycles) must match
-# exactly — any drift means simulation results changed — and overall
-# throughput must stay within 25% of the committed baseline.  The check
-# also enforces the observer-overhead budget (counters sink within 5% of
-# NullObserver).
-echo "==> bench_sim --check BENCH_sim.json (sentinels exact, throughput >= 0.75x, counters obs >= 0.95x null)"
-cargo run --release -q -p optmc-bench --bin bench_sim -- --check BENCH_sim.json
+# Observer-overhead gate: the counters-only sink must keep at least 0.95x
+# the Null observer's throughput on the interleaved mesh16 pair.  The run
+# also prints (but does not gate) the large-topology timings.  The exact
+# simulator and plan-service sentinels are Tier-1 tests
+# (crates/bench/tests/sentinels.rs, crates/plansvc/tests/sentinels.rs).
+echo "==> bench_sim (counters obs >= 0.95x null; prints large-topology timings)"
+cargo run --release -q -p optmc-bench --bin bench_sim
 
 # Planning-service smoke: a scripted request batch served twice must answer
 # byte-identically (replay determinism through the full stdin/stdout shell),
@@ -108,14 +108,6 @@ grep -F '"hits":2' "$SMOKE_DIR/serve_a.jsonl" >/dev/null \
     || { echo "optmc serve did not answer the repeats from the plan cache" >&2; exit 1; }
 test -s "$SMOKE_DIR/plansvc_telem.json" \
     || { echo "optmc serve --telemetry-out wrote nothing" >&2; exit 1; }
-
-# Plan-path perf + determinism: re-run every workload in the committed
-# BENCH_plan.json.  The sentinels (request/hit/miss/DP/eviction counts and
-# the response-byte fingerprint) must match exactly; overall throughput must
-# stay within 25% of the committed figure; and each workload's mean warm-hit
-# latency must stay at most 2x its committed mean.
-echo "==> bench_plan --check BENCH_plan.json (sentinels exact, throughput >= 0.75x, hit latency <= 2x)"
-cargo run --release -q -p optmc-bench --bin bench_plan -- --check BENCH_plan.json
 
 # Figure determinism gate: the committed paper figures must regenerate
 # byte-identical from a clean build — fig1's worked example (its whole
