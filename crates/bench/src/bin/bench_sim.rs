@@ -44,31 +44,15 @@ fn main() -> ExitCode {
     let giant_mesh = Mesh::new(&[256, 256]);
     let giant_bmin = Bmin::new(14, UpPolicy::Straight);
 
-    // (id, detail, topology, k, bytes, runs), each under the paper set.
-    let big: [(&str, &str, &dyn Topology, usize, u64, usize); 2] = [
-        (
-            "big_mesh_32x32",
-            "32x32 mesh, 64 nodes, 16 KB",
-            &big_mesh,
-            64,
-            16 * 1024,
-            3,
-        ),
-        (
-            "big_bmin_1024",
-            "1024-node BMIN, 64 nodes, 4 KB",
-            &big_bmin,
-            64,
-            4096,
-            3,
-        ),
+    // (id, topology, k, bytes, runs), each under the paper set.
+    let big: [(&str, &dyn Topology, usize, u64, usize); 2] = [
+        ("big_mesh_32x32", &big_mesh, 64, 16 * 1024, 3),
+        ("big_bmin_1024", &big_bmin, 64, 4096, 3),
     ];
     let mut records = Vec::new();
-    for (id, detail, topo, k, bytes, runs) in big {
+    for (id, topo, k, bytes, runs) in big {
         for alg in Algorithm::PAPER_SET {
-            records.push(bench_workload(
-                id, detail, topo, &cfg, alg, k, bytes, runs, SEED,
-            ));
+            records.push(bench_workload(id, topo, &cfg, alg, k, bytes, runs, SEED));
         }
     }
 
@@ -77,7 +61,6 @@ fn main() -> ExitCode {
     // (see `bench_observed_pair` for the repeats).
     records.extend(bench_observed_pair(
         "mesh16",
-        "16x16 mesh, 32 nodes, 16 KB, observer overhead pair",
         &mesh,
         &cfg,
         Algorithm::OptArch,
@@ -89,40 +72,16 @@ fn main() -> ExitCode {
 
     // One OPT-arch multicast each: the point is engine scale, not the
     // algorithm comparison.
-    let huge: [(&str, &str, &dyn Topology, usize, u64); 4] = [
-        (
-            "big_mesh_128x128",
-            "128x128 mesh, 128 nodes, 16 KB",
-            &huge_mesh,
-            128,
-            16 * 1024,
-        ),
-        (
-            "big_bmin_4096",
-            "4096-node BMIN, 96 nodes, 4 KB",
-            &huge_bmin,
-            96,
-            4096,
-        ),
-        (
-            "big_mesh_256x256",
-            "256x256 mesh, 128 nodes, 16 KB",
-            &giant_mesh,
-            128,
-            16 * 1024,
-        ),
-        (
-            "big_bmin_16384",
-            "16384-node BMIN, 96 nodes, 4 KB",
-            &giant_bmin,
-            96,
-            4096,
-        ),
+    // (id, topology, k, bytes).
+    let huge: [(&str, &dyn Topology, usize, u64); 4] = [
+        ("big_mesh_128x128", &huge_mesh, 128, 16 * 1024),
+        ("big_bmin_4096", &huge_bmin, 96, 4096),
+        ("big_mesh_256x256", &giant_mesh, 128, 16 * 1024),
+        ("big_bmin_16384", &giant_bmin, 96, 4096),
     ];
-    for (id, detail, topo, k, bytes) in huge {
+    for (id, topo, k, bytes) in huge {
         records.push(bench_workload(
             id,
-            detail,
             topo,
             &cfg,
             Algorithm::OptArch,

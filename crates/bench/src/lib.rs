@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use flitsim::SimConfig;
-use optmc::{experiments::run_trials, Algorithm, TrialStats};
+use optmc::{experiments::run_trials, Algorithm};
 use pcm::{MsgSize, Time};
 use topo::Topology;
 
@@ -75,19 +75,6 @@ pub fn sweep_nodes(
         .collect()
 }
 
-/// Detailed per-point stats for contention analyses.
-pub fn stats_point(
-    topo: &dyn Topology,
-    cfg: &SimConfig,
-    alg: Algorithm,
-    k: usize,
-    bytes: MsgSize,
-    trials: usize,
-    seed: u64,
-) -> TrialStats {
-    run_trials(topo, cfg, alg, k, bytes, trials, seed)
-}
-
 // ---------------------------------------------------------------------------
 // Engine-vitals benchmarking (RunMeta aggregation).
 
@@ -97,8 +84,6 @@ pub fn stats_point(
 pub struct SimBenchRecord {
     /// Workload id ("big_mesh_32x32", ...).
     pub workload: String,
-    /// Human description (topology, k, bytes).
-    pub detail: String,
     /// Algorithm display name.
     pub algorithm: String,
     /// Runs aggregated.
@@ -128,7 +113,6 @@ pub struct SimBenchRecord {
 #[allow(clippy::too_many_arguments)]
 pub fn bench_workload(
     workload: &str,
-    detail: &str,
     topo: &dyn Topology,
     cfg: &SimConfig,
     alg: Algorithm,
@@ -139,7 +123,7 @@ pub fn bench_workload(
 ) -> SimBenchRecord {
     assert!(runs >= 1);
     let n = topo.graph().n_nodes();
-    let mut rec = SimBenchRecord::empty(workload, detail, topo, alg, runs);
+    let mut rec = SimBenchRecord::empty(workload, topo, alg, runs);
     let mut latency_sum = 0u64;
     for t in 0..runs {
         let parts = optmc::random_placement(n, k, seed + t as u64);
@@ -168,7 +152,6 @@ const OBS_REPEATS: usize = 9;
 #[allow(clippy::too_many_arguments)]
 pub fn bench_observed_pair(
     tag: &str,
-    detail: &str,
     topo: &dyn Topology,
     cfg: &SimConfig,
     alg: Algorithm,
@@ -180,7 +163,7 @@ pub fn bench_observed_pair(
     assert!(runs >= 1);
     let n = topo.graph().n_nodes();
     let mut recs = ["obs_null_", "obs_counters_"]
-        .map(|side| SimBenchRecord::empty(&format!("{side}{tag}"), detail, topo, alg, runs));
+        .map(|side| SimBenchRecord::empty(&format!("{side}{tag}"), topo, alg, runs));
     let mut latency_sums = [0u64; 2];
     let opts = optmc::RunOptions::default();
     for t in 0..runs {
@@ -219,16 +202,9 @@ pub fn bench_observed_pair(
 
 impl SimBenchRecord {
     /// A record of `runs` runs of `alg` on `topo`, nothing folded in yet.
-    fn empty(
-        workload: &str,
-        detail: &str,
-        topo: &dyn Topology,
-        alg: Algorithm,
-        runs: usize,
-    ) -> Self {
+    fn empty(workload: &str, topo: &dyn Topology, alg: Algorithm, runs: usize) -> Self {
         SimBenchRecord {
             workload: workload.to_string(),
-            detail: detail.to_string(),
             algorithm: alg.display_name(topo),
             runs,
             events_processed: 0,
@@ -347,7 +323,6 @@ mod tests {
     fn fresh(workload: &str, events_scheduled: u64, wall_ns: u64) -> SimBenchRecord {
         SimBenchRecord {
             workload: workload.to_string(),
-            detail: String::new(),
             algorithm: "opt".to_string(),
             runs: 2,
             events_processed: events_scheduled,
@@ -389,7 +364,7 @@ mod tests {
         let mesh = topo::Mesh::new(&[8, 8]);
         let cfg = SimConfig::paragon_like();
         let [null, counters] =
-            bench_observed_pair("t", "", &mesh, &cfg, Algorithm::OptArch, 12, 2048, 3, 7);
+            bench_observed_pair("t", &mesh, &cfg, Algorithm::OptArch, 12, 2048, 3, 7);
         assert_eq!(null.workload, "obs_null_t");
         assert_eq!(counters.workload, "obs_counters_t");
         // Observation must not perturb the simulation: every deterministic

@@ -114,13 +114,12 @@ fn fresh() -> Vec<(String, String, Sentinels)> {
     let mut out = Vec::new();
     for (id, topo, k, bytes, runs) in paper_set {
         for alg in Algorithm::PAPER_SET {
-            let r = bench_workload(id, "", topo, &cfg, alg, k, bytes, runs, SEED);
+            let r = bench_workload(id, topo, &cfg, alg, k, bytes, runs, SEED);
             out.push(sentinels(&r));
         }
     }
     let pair = bench_observed_pair(
         "mesh16",
-        "",
         &mesh16,
         &cfg,
         Algorithm::OptArch,
@@ -144,7 +143,7 @@ fn fresh() -> Vec<(String, String, Sentinels)> {
         ("big_bmin_16384", &bmin16384, 96, 4096),
     ];
     for (id, topo, k, bytes) in large {
-        let r = bench_workload(id, "", topo, &cfg, alg, k, bytes, 1, SEED);
+        let r = bench_workload(id, topo, &cfg, alg, k, bytes, 1, SEED);
         out.push(sentinels(&r));
     }
     out

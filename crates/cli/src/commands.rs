@@ -623,6 +623,13 @@ fn cmd_inspect(a: &Args) -> Result<String, CliError> {
         }
         "jsonl" => match trace_out {
             Some(path) => {
+                if out.sim.truncated {
+                    return Err(err(format!(
+                        "--trace-out {path}: writing the jsonl trace failed; the file holds \
+                         at most a prefix of the run's {} events",
+                        out.sim.meta.trace_events + out.sim.meta.trace_dropped
+                    )));
+                }
                 let _ = writeln!(
                     text,
                     "\njsonl trace streamed to {path} ({} events)",
@@ -859,6 +866,22 @@ mod tests {
             n += 1;
         }
         assert!(n > 4, "expected several trace events, got {n}");
+    }
+
+    #[test]
+    fn inspect_jsonl_trace_to_a_full_device_is_an_error() {
+        // /dev/full accepts the open and fails every write with ENOSPC.
+        if !std::path::Path::new("/dev/full").exists() {
+            eprintln!("skipped: /dev/full is absent on this host");
+            return;
+        }
+        let e = run(
+            "inspect --topo mesh:8x8 --alg opt-tree --nodes 12 --bytes 4096 \
+                     --format jsonl --trace-out /dev/full",
+        )
+        .unwrap_err();
+        assert!(e.0.contains("--trace-out /dev/full"), "{}", e.0);
+        assert!(e.0.contains("at most a prefix"), "{}", e.0);
     }
 
     #[test]

@@ -372,16 +372,6 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 self.events_processed as f64 * 1e9 / wall_ns as f64
             },
         };
-        // Flush the run's totals into the process-global telemetry counters
-        // in bulk — one relaxed add per counter per *run*, so campaign
-        // worker threads never contend on a cache line inside the event
-        // loop (and the hot path stays allocation-free).
-        crate::metrics::RUNS.inc();
-        crate::metrics::EVENTS_PROCESSED.add(self.events_processed);
-        crate::metrics::EVENTS_SCHEDULED.add(self.events_scheduled);
-        crate::metrics::MESSAGES.add(self.messages.len() as u64);
-        crate::metrics::BLOCKED_CYCLES.add(self.blocked_cycles);
-        crate::metrics::CHANNEL_BUSY_CYCLES.add(self.channel_busy);
         let result = SimResult {
             finish: self.finish,
             messages: self.messages,

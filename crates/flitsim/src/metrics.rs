@@ -1,58 +1,15 @@
-//! Process-global engine counters and [`TelemetrySnapshot`] builders.
+//! [`TelemetrySnapshot`] builder for one run.
 //!
-//! The counters are `telem` statics flushed **in bulk** by
-//! [`crate::Engine::run`] — one relaxed atomic add per counter per *run*,
-//! never per event, so campaign worker threads don't contend on a shared
-//! cache line inside the event loop and the hot path stays
-//! allocation-free (pinned by the `zero_alloc` test).
-//!
-//! Two snapshot builders feed the exposition layer:
-//! [`process_snapshot`] reads the cumulative process-wide counters, and
-//! [`run_snapshot`] captures one run's *deterministic* vitals (cycle and
-//! event counts only — never wall-clock), which is what the
-//! `scripts/check.sh` determinism gate byte-compares.
+//! [`run_snapshot`] copies a [`SimResult`]'s *deterministic* vitals (cycle
+//! and event counts and their distributions, never wall-clock) into a
+//! snapshot.  `optmc inspect --telemetry-out` writes it, and the
+//! `scripts/check.sh` determinism gate byte-compares two same-seed runs of
+//! it.  The numbers live on the result itself ([`crate::RunMeta`] and the
+//! `SimResult` totals); nothing here keeps process-wide state.
 
-use telem::{counter, TelemetrySnapshot};
+use telem::TelemetrySnapshot;
 
 use crate::stats::SimResult;
-
-counter!(pub RUNS, "flitsim_runs_total", "Simulation runs completed");
-counter!(
-    pub EVENTS_PROCESSED,
-    "flitsim_events_processed_total",
-    "Events popped from the event heap across all runs"
-);
-counter!(
-    pub EVENTS_SCHEDULED,
-    "flitsim_events_scheduled_total",
-    "Events scheduled onto the event heap across all runs"
-);
-counter!(
-    pub MESSAGES,
-    "flitsim_messages_delivered_total",
-    "Messages delivered across all runs"
-);
-counter!(
-    pub BLOCKED_CYCLES,
-    "flitsim_blocked_cycles_total",
-    "Head-blocked cycles across all runs"
-);
-counter!(
-    pub CHANNEL_BUSY_CYCLES,
-    "flitsim_channel_busy_cycles_total",
-    "Busy channel-cycles across all runs"
-);
-/// Snapshot the cumulative process-wide engine counters.
-pub fn process_snapshot() -> TelemetrySnapshot {
-    let mut s = TelemetrySnapshot::new();
-    s.record(&RUNS);
-    s.record(&EVENTS_PROCESSED);
-    s.record(&EVENTS_SCHEDULED);
-    s.record(&MESSAGES);
-    s.record(&BLOCKED_CYCLES);
-    s.record(&CHANNEL_BUSY_CYCLES);
-    s
-}
 
 /// Snapshot one run's deterministic vitals.
 ///
@@ -143,15 +100,5 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.get("run_messages_delivered"), Some(1));
         assert!(a.get("run_events_processed").unwrap() > 0);
-    }
-
-    #[test]
-    fn process_counters_grow_with_runs() {
-        let before = RUNS.get();
-        let _ = small_run();
-        assert!(RUNS.get() > before);
-        let s = process_snapshot();
-        assert!(s.get("flitsim_runs_total").unwrap() > before);
-        assert!(!s.to_prometheus().is_empty());
     }
 }

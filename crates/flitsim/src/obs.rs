@@ -151,12 +151,13 @@ pub enum TraceSink {
     /// at the end of the run).
     Counters(EventCounts),
     /// Stream events as JSON Lines to a writer; nothing is retained in
-    /// memory.  Write errors are sticky: the first one stops the stream
-    /// and is reported through [`SinkSummary::write_error`].
+    /// memory.  Write errors are sticky: from the first failed write on,
+    /// every event is counted in `dropped` instead of written, so what
+    /// reached the writer stays a prefix of the run.
     Jsonl {
         out: Box<dyn Write>,
         written: u64,
-        error: Option<String>,
+        dropped: u64,
     },
     /// Forward every hook to a caller-supplied observer.
     Custom(Box<dyn Observer>),
@@ -180,8 +181,10 @@ impl std::fmt::Debug for TraceSink {
             TraceSink::Counters(c) => {
                 write!(f, "TraceSink::Counters({} events)", c.total())
             }
-            TraceSink::Jsonl { written, error, .. } => {
-                write!(f, "TraceSink::Jsonl({written} written, error {error:?})")
+            TraceSink::Jsonl {
+                written, dropped, ..
+            } => {
+                write!(f, "TraceSink::Jsonl({written} written, {dropped} dropped)")
             }
             TraceSink::Custom(_) => write!(f, "TraceSink::Custom(..)"),
         }
@@ -247,15 +250,15 @@ impl EventCounts {
 pub struct SinkSummary {
     /// Events retained in memory (empty for `Null`/`Jsonl`).
     pub events: Vec<TraceEvent>,
-    /// Events the sink saw but could not retain (memory limit hit).
+    /// Events the sink saw but could not keep: past a `Memory` limit, or
+    /// at and after a failed `Jsonl` write.
     pub dropped: u64,
-    /// True when `dropped > 0` on a sink that promises completeness
-    /// (`Memory` with a limit) — the trace is a prefix, not the whole run.
+    /// True when the kept trace is at best a prefix of the run: a limited
+    /// `Memory` sink dropped events, or a `Jsonl` write or the final flush
+    /// failed (a failed flush loses an unknown tail of what was written).
     pub truncated: bool,
-    /// Events successfully streamed out (JSONL only).
+    /// Events handed to the writer without error (JSONL only).
     pub streamed: u64,
-    /// The sticky JSONL write error, if one occurred.
-    pub write_error: Option<String>,
     /// Per-kind event tallies (`Counters` sink only).
     pub counts: Option<EventCounts>,
 }
@@ -284,7 +287,7 @@ impl TraceSink {
         TraceSink::Jsonl {
             out,
             written: 0,
-            error: None,
+            dropped: 0,
         }
     }
 
@@ -335,7 +338,6 @@ impl TraceSink {
                 dropped,
                 truncated: limit.is_some() && dropped > 0,
                 streamed: 0,
-                write_error: None,
                 counts: None,
             },
             TraceSink::Counters(counts) => SinkSummary {
@@ -345,15 +347,14 @@ impl TraceSink {
             TraceSink::Jsonl {
                 mut out,
                 written,
-                error,
+                dropped,
             } => {
-                let flush_err = out.flush().err().map(|e| e.to_string());
+                let flushed = out.flush().is_ok();
                 SinkSummary {
                     events: Vec::new(),
-                    dropped: 0,
-                    truncated: false,
+                    dropped,
+                    truncated: dropped > 0 || !flushed,
                     streamed: written,
-                    write_error: error.or(flush_err),
                     counts: None,
                 }
             }
@@ -407,20 +408,14 @@ impl TraceSink {
             TraceSink::Jsonl {
                 out,
                 written,
-                error,
+                dropped,
             } => {
-                if error.is_some() {
-                    return;
-                }
-                match serde_json::to_string(&e) {
-                    Ok(line) => {
-                        if let Err(err) = writeln!(out, "{line}") {
-                            *error = Some(err.to_string());
-                        } else {
-                            *written += 1;
-                        }
-                    }
-                    Err(err) => *error = Some(err.to_string()),
+                let ok = *dropped == 0
+                    && serde_json::to_string(&e).is_ok_and(|line| writeln!(out, "{line}").is_ok());
+                if ok {
+                    *written += 1;
+                } else {
+                    *dropped += 1;
                 }
             }
             TraceSink::Custom(o) => o.on_event(e),
@@ -509,7 +504,8 @@ pub struct RunMeta {
     pub peak_heap_bytes: u64,
     /// Trace events the observer retained.
     pub trace_events: u64,
-    /// Trace events dropped by a bounded sink.
+    /// Trace events the observer saw but could not keep: past a memory
+    /// sink's limit, or at and after a failed JSONL write.
     pub trace_dropped: u64,
     /// Wall-clock duration of [`crate::Engine::run`] in nanoseconds
     /// (non-deterministic; excluded from reproducibility comparisons).
@@ -699,7 +695,7 @@ mod tests {
         s.on_cpu_busy(6, 1, NodeId(2));
         let sum = s.finish();
         assert_eq!(sum.streamed, 2);
-        assert!(sum.write_error.is_none());
+        assert!(!sum.truncated && sum.dropped == 0);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -707,6 +703,58 @@ mod tests {
             let v: serde_json::Value = serde_json::from_str(line).unwrap();
             assert!(v.get("t").is_some(), "line missing t: {line}");
         }
+    }
+
+    /// A writer that takes `lines` complete lines, then fails every write
+    /// (`flush` fails too when `fail_flush` is set).
+    struct Failing {
+        lines: usize,
+        fail_flush: bool,
+    }
+
+    impl Write for Failing {
+        fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
+            if self.lines == 0 {
+                return Err(std::io::Error::other("device full"));
+            }
+            self.lines -= b.iter().filter(|&&c| c == b'\n').count();
+            Ok(b.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.fail_flush {
+                Err(std::io::Error::other("device full"))
+            } else {
+                Ok(())
+            }
+        }
+    }
+
+    #[test]
+    fn jsonl_write_failure_mid_stream_truncates_and_counts_the_rest() {
+        let mut s = TraceSink::jsonl(Box::new(Failing {
+            lines: 2,
+            fail_flush: false,
+        }));
+        for t in 0..5u64 {
+            s.on_channel_acquire(t, 1, ChannelId(3));
+        }
+        let sum = s.finish();
+        assert_eq!(sum.streamed, 2);
+        assert_eq!(sum.dropped, 3, "the failed event and every later one");
+        assert!(sum.truncated);
+    }
+
+    #[test]
+    fn jsonl_flush_failure_truncates() {
+        let mut s = TraceSink::jsonl(Box::new(Failing {
+            lines: usize::MAX,
+            fail_flush: true,
+        }));
+        s.on_channel_acquire(5, 1, ChannelId(3));
+        s.on_cpu_busy(6, 1, NodeId(2));
+        let sum = s.finish();
+        assert_eq!((sum.streamed, sum.dropped), (2, 0));
+        assert!(sum.truncated, "a failed flush leaves at best a prefix");
     }
 
     #[test]

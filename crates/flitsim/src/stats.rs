@@ -91,8 +91,9 @@ pub struct SimResult {
     /// active — see [`crate::SimConfig::trace`] and
     /// [`crate::obs::TraceSink`]).
     pub trace: Vec<TraceEvent>,
-    /// True when a bounded sink dropped events: `trace` is a prefix of the
-    /// run, not the whole story.
+    /// True when the observer's trace is at best a prefix of the run: a
+    /// bounded sink dropped events, or a JSONL stream failed on a write or
+    /// on its final flush.
     pub truncated: bool,
     /// Engine vitals for this run (event counts are deterministic; the
     /// wall-clock figures are not).

@@ -92,9 +92,9 @@ pub type Occupancy<K> = Vec<(K, Vec<Span>)>;
 /// Per-channel occupancy intervals extracted from a trace: channel →
 /// list of `(from, to, worm)` holdings, in time order.
 ///
-/// A holding whose release never appears in the trace (truncated trace, or
-/// a ring sink that dropped the tail) is closed at the trace horizon rather
-/// than dropped, so utilisation numbers stay honest; zero-width spans
+/// A holding whose release never appears in the trace (a truncated trace,
+/// which keeps only a prefix of the run) is closed at the trace horizon
+/// rather than dropped, so utilisation numbers stay honest; zero-width spans
 /// (acquired exactly at the horizon) are omitted.
 pub fn channel_occupancy(trace: &[TraceEvent]) -> Occupancy<ChannelId> {
     use std::collections::BTreeMap;

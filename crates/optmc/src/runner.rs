@@ -145,7 +145,7 @@ pub fn run_multicast_opts(
 }
 
 /// [`run_multicast_opts`] with an explicit engine observer.  `observer`
-/// (any [`TraceSink`] arm — bounded ring, streaming JSONL, custom hooks)
+/// (any [`TraceSink`] arm — bounded memory, streaming JSONL, custom hooks)
 /// replaces whatever [`SimConfig::trace`] would have selected; `None`
 /// keeps the config-derived default.  This is what `optmc inspect` uses to
 /// stream traces without holding them in memory.

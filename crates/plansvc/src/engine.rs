@@ -174,7 +174,6 @@ impl Engine {
         match parse_line(text) {
             Err(e) => {
                 self.stats.errors += 1;
-                crate::ERRORS.inc();
                 self.respond(id, error_line(e.echo.as_ref(), &e.message));
             }
             Ok(ParsedLine::Stats(echo)) => {
@@ -183,21 +182,17 @@ impl Engine {
             }
             Ok(ParsedLine::Plan(request, echo)) => {
                 self.stats.requests += 1;
-                crate::REQUESTS.inc();
                 let key = request.key();
                 if let Some(plan) = self.cache.get(&key) {
                     self.stats.hits += 1;
-                    crate::HITS.inc();
                     let line = response_line(echo.as_ref(), true, &key, plan);
                     self.respond(id, line);
                 } else if let Some((_, waiters)) = self.inflight.iter_mut().find(|(k, _)| *k == key)
                 {
                     self.stats.coalesced += 1;
-                    crate::COALESCED.inc();
                     waiters.push(Waiter { id, echo });
                 } else {
                     self.stats.misses += 1;
-                    crate::MISSES.inc();
                     self.inflight.push((key.clone(), vec![Waiter { id, echo }]));
                     self.out.push_back(Command::Compute { key, request });
                 }
@@ -215,7 +210,6 @@ impl Engine {
         match result {
             Ok(body) => {
                 self.stats.dp_runs += 1;
-                crate::DP_RUNS.inc();
                 // Render once; every waiter now — and every future hit —
                 // splices these bytes instead of re-walking the plan.
                 let plan = body.render_json();
@@ -225,13 +219,11 @@ impl Engine {
                 }
                 if self.cache.insert(key.to_string(), plan).is_some() {
                     self.stats.evictions += 1;
-                    crate::EVICTIONS.inc();
                 }
             }
             Err(message) => {
                 for w in &waiters {
                     self.stats.errors += 1;
-                    crate::ERRORS.inc();
                     let line = error_line(w.echo.as_ref(), &message);
                     self.respond(w.id, line);
                 }

@@ -26,10 +26,11 @@
 //!
 //! The blocking shell lives in the CLI crate as `optmc serve` (stdin/
 //! stdout and TCP) and `optmc plan` (one-shot); the `perfbench/`
-//! benchmark drives the same engine for timing.  Service counters are
-//! declared here as `telem` statics ([`REQUESTS`], [`HITS`], …) and also
-//! tracked per-engine in [`EngineStats`] (deterministic, so snapshots of
-//! one engine replay byte-identically).
+//! benchmark drives the same engine for timing.  Service counters live
+//! per engine in [`EngineStats`] and nowhere else (deterministic, so
+//! snapshots of one engine replay byte-identically);
+//! [`EngineStats::record_into`] exports them under the `plansvc_*_total`
+//! names.
 
 #![forbid(unsafe_code)]
 
@@ -45,41 +46,45 @@ pub use request::{parse_line, ParseError, ParsedLine, PlanRequest};
 
 use telem::TelemetrySnapshot;
 
-telem::counter!(
-    pub REQUESTS,
-    "plansvc_requests_total",
-    "Plan requests handled"
-);
-telem::counter!(pub HITS, "plansvc_cache_hits_total", "Plans served from the cache");
-telem::counter!(
-    pub MISSES,
-    "plansvc_cache_misses_total",
-    "Plan requests that initiated a computation"
-);
-telem::counter!(
-    pub COALESCED,
-    "plansvc_coalesced_total",
-    "Plan requests that joined an in-flight computation"
-);
-telem::counter!(pub DP_RUNS, "plansvc_dp_runs_total", "Completed plan computations");
-telem::counter!(pub EVICTIONS, "plansvc_cache_evictions_total", "Plan-cache evictions");
-telem::counter!(pub ERRORS, "plansvc_errors_total", "Rejected or failed requests");
-
 impl EngineStats {
-    /// Record these counters (plus cache occupancy) into a telemetry
-    /// snapshot under the `plansvc_*` metric names.
+    /// Record these counters into a telemetry snapshot under the
+    /// `plansvc_*` metric names.
     pub fn record_into(&self, snap: &mut TelemetrySnapshot) {
-        snap.counter("plansvc_requests_total", REQUESTS.help(), self.requests);
-        snap.counter("plansvc_cache_hits_total", HITS.help(), self.hits);
-        snap.counter("plansvc_cache_misses_total", MISSES.help(), self.misses);
-        snap.counter("plansvc_coalesced_total", COALESCED.help(), self.coalesced);
-        snap.counter("plansvc_dp_runs_total", DP_RUNS.help(), self.dp_runs);
+        snap.counter(
+            "plansvc_requests_total",
+            "Plan requests handled",
+            self.requests,
+        );
+        snap.counter(
+            "plansvc_cache_hits_total",
+            "Plans served from the cache",
+            self.hits,
+        );
+        snap.counter(
+            "plansvc_cache_misses_total",
+            "Plan requests that initiated a computation",
+            self.misses,
+        );
+        snap.counter(
+            "plansvc_coalesced_total",
+            "Plan requests that joined an in-flight computation",
+            self.coalesced,
+        );
+        snap.counter(
+            "plansvc_dp_runs_total",
+            "Completed plan computations",
+            self.dp_runs,
+        );
         snap.counter(
             "plansvc_cache_evictions_total",
-            EVICTIONS.help(),
+            "Plan-cache evictions",
             self.evictions,
         );
-        snap.counter("plansvc_errors_total", ERRORS.help(), self.errors);
+        snap.counter(
+            "plansvc_errors_total",
+            "Rejected or failed requests",
+            self.errors,
+        );
     }
 }
 

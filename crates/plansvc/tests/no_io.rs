@@ -1,6 +1,7 @@
 //! The sans-io lint: the planning core must not touch any transport or
-//! clock.  Enforced textually over the crate's sources — if an I/O import
-//! sneaks into the engine, this test names the file and line.
+//! clock, nor keep process-global state.  Enforced textually over the
+//! crate's sources — if an I/O import or a global cell sneaks into the
+//! engine, this test names the file and line.
 
 const SOURCES: &[(&str, &str)] = &[
     ("src/lib.rs", include_str!("../src/lib.rs")),
@@ -10,9 +11,12 @@ const SOURCES: &[(&str, &str)] = &[
     ("src/request.rs", include_str!("../src/request.rs")),
 ];
 
-/// Forbidden module paths and types: transports, filesystems, clocks,
-/// process control, and environment access.  The engine may compute, hold
-/// state, and format strings — nothing else.
+/// Forbidden module paths, types and declarations: transports,
+/// filesystems, clocks, process control, environment access, and
+/// process-global state (a counter or cell shared by every engine in the
+/// process would make a response depend on more than its own engine's
+/// input history).  The engine may compute, hold its own state, and
+/// format strings — nothing else.
 const FORBIDDEN: &[&str] = &[
     "std::io",
     "std::net",
@@ -25,6 +29,11 @@ const FORBIDDEN: &[&str] = &[
     "TcpListener",
     "TcpStream",
     "UdpSocket",
+    "counter!",
+    "static mut",
+    "thread_local!",
+    "std::sync::atomic",
+    "OnceLock",
 ];
 
 #[test]

@@ -1,155 +1,23 @@
-//! # `telem` — lock-free metrics and telemetry exposition
+//! # `telem` — telemetry snapshots and their exposition
 //!
-//! The workspace-wide observability substrate: every layer that wants to
-//! count something without paying for it goes through this crate.
+//! The workspace's one metrics format.  Each subsystem keeps its numbers
+//! with its results (`flitsim::RunMeta`, `plansvc::EngineStats`, a
+//! campaign's heartbeat) and copies them into a snapshot when a caller
+//! asks for one; no metric lives in process-global state.
 //!
-//! * [`Counter`] / [`Gauge`] — `const`-constructible, lock-free metric
-//!   cells backed by a single relaxed [`AtomicU64`].  Declared as statics
-//!   via the [`counter!`] / [`gauge!`] macros, an update compiles to one
-//!   relaxed atomic add — no allocation, no branching, safe to call from
-//!   the engine hot path (pinned by the `zero_alloc` allocmeter test in
-//!   `flitsim`).
 //! * [`Histogram`] — the log₂-bucketed histogram previously private to
-//!   `flitsim::obs`, promoted here so campaign heartbeats and bench
-//!   reports can share it (`flitsim` re-exports it unchanged).
+//!   `flitsim::obs`, promoted here so campaign heartbeats and the CLI's
+//!   snapshots can share it (`flitsim` re-exports it unchanged).
 //! * [`TelemetrySnapshot`] — a point-in-time, deterministic view of a set
-//!   of metrics with two exposition formats: sorted-key JSON (byte-stable
-//!   for a given input, which `scripts/check.sh` relies on) and the
-//!   Prometheus text format.
-//!
-//! The registry is deliberately *explicit*: there is no global list of
-//! metrics mutated at static-init time (that would need allocation or
-//! `unsafe` linker tricks).  Instead each subsystem declares its statics
-//! and contributes them to a snapshot by calling [`TelemetrySnapshot::record`].
+//!   of metrics with three renderings: sorted-key JSON (byte-stable for a
+//!   given input, which `scripts/check.sh` relies on), the Prometheus text
+//!   format, and a plain-text table.
 
 #![forbid(unsafe_code)]
-
-// Under `--cfg loom` the metric cells run on the model checker's
-// instrumented atomics so the `verify` stage of scripts/check.sh can
-// explore interleavings of the registry; the shim's atomics stay
-// `const`-constructible, so the `counter!`/`gauge!` statics are unaffected.
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use pcm::Time;
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
-
-// ---------------------------------------------------------------------------
-// Counters and gauges.
-
-/// A monotonically increasing metric cell.
-///
-/// `const`-constructible so it can live in a `static`; updates are relaxed
-/// atomic adds — the cheapest cross-thread counter the hardware offers.
-/// Relaxed ordering is enough because readers only ever want a recent
-/// value, never a synchronised one.
-#[derive(Debug)]
-pub struct Counter {
-    name: &'static str,
-    help: &'static str,
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A zeroed counter (use via the [`counter!`] macro).
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Counter {
-            name,
-            help,
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Add `n`. Compiles to a single relaxed `fetch_add`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Metric name (Prometheus-style, e.g. `flitsim_runs_total`).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line human description.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-}
-
-/// A metric cell that can go up and down (set, not accumulated).
-#[derive(Debug)]
-pub struct Gauge {
-    name: &'static str,
-    help: &'static str,
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A zeroed gauge (use via the [`gauge!`] macro).
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Gauge {
-            name,
-            help,
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// Set the value. A single relaxed store.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// One-line human description.
-    pub fn help(&self) -> &'static str {
-        self.help
-    }
-}
-
-/// Declare a static [`Counter`]:
-/// `counter!(pub RUNS, "flitsim_runs_total", "Simulation runs completed");`
-#[macro_export]
-macro_rules! counter {
-    ($vis:vis $ident:ident, $name:expr, $help:expr) => {
-        $vis static $ident: $crate::Counter = $crate::Counter::new($name, $help);
-    };
-}
-
-/// Declare a static [`Gauge`]:
-/// `gauge!(pub IN_FLIGHT, "pool_cells_in_flight", "Cells being executed");`
-#[macro_export]
-macro_rules! gauge {
-    ($vis:vis $ident:ident, $name:expr, $help:expr) => {
-        $vis static $ident: $crate::Gauge = $crate::Gauge::new($name, $help);
-    };
-}
 
 // ---------------------------------------------------------------------------
 // Histogram (promoted from `flitsim::obs`).
@@ -312,16 +180,6 @@ impl TelemetrySnapshot {
     /// Add (or overwrite) a histogram.
     pub fn histogram(&mut self, name: &str, help: &str, h: &Histogram) {
         self.push(name, help, MetricValue::Histogram(h.clone()));
-    }
-
-    /// Capture a static [`Counter`]'s current value.
-    pub fn record(&mut self, c: &Counter) {
-        self.counter(c.name(), c.help(), c.get());
-    }
-
-    /// Capture a static [`Gauge`]'s current value.
-    pub fn record_gauge(&mut self, g: &Gauge) {
-        self.gauge(g.name(), g.help(), g.get());
     }
 
     /// Number of metrics held.
@@ -499,20 +357,6 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    counter!(TEST_EVENTS, "telem_test_events_total", "Test events");
-    gauge!(TEST_LEVEL, "telem_test_level", "Test level");
-
-    #[test]
-    fn counter_and_gauge_statics_accumulate() {
-        TEST_EVENTS.inc();
-        TEST_EVENTS.add(4);
-        assert_eq!(TEST_EVENTS.get(), 5);
-        TEST_LEVEL.set(7);
-        TEST_LEVEL.set(3);
-        assert_eq!(TEST_LEVEL.get(), 3);
-        assert_eq!(TEST_EVENTS.name(), "telem_test_events_total");
-    }
 
     #[test]
     fn histogram_quantiles_bracket_samples() {

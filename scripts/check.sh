@@ -73,8 +73,8 @@ cargo run --release -q -p optmc-cli --bin optmc -- \
     || { echo "sweep status did not report the finished smoke campaign" >&2; exit 1; }
 
 # Hot-path allocation gate: the zero_alloc suite pins that steady-state
-# event processing — including the counters-only observer and the telem
-# counter flush — adds no per-event heap allocations.
+# event processing — including the counters-only observer — adds no
+# per-event heap allocations.
 echo "==> zero-allocation hot path (allocmeter, Null + counters observers)"
 cargo test -q -p flitsim --test zero_alloc
 
@@ -134,14 +134,13 @@ git diff --exit-code -- \
 # its tool is unavailable rather than failing the gate.
 
 # Loom model checking: the in-tree bounded-preemption explorer (shims/loom)
-# drives the telem atomic registry and the campaign pool's two-lock
+# runs its own suite, then drives the campaign pool's two-lock
 # checkpoint/heartbeat protocol through adversarial interleavings.  Built
 # under --cfg loom in its own target dir so the cache never mixes with the
 # normal build.
-echo "==> verify: loom model checking (telem registry, campaign pool)"
+echo "==> verify: loom model checking (explorer suite, campaign pool model)"
 export CARGO_TARGET_DIR=target/loom RUSTFLAGS="--cfg loom"
 cargo test -q -p loom                      # the explorer's own suite
-cargo test -q -p telem --test loom         # counter/gauge registry atomics
 cargo test -q -p campaign --test loom      # pool checkpoint/heartbeat protocol
 unset CARGO_TARGET_DIR RUSTFLAGS
 
