@@ -14,6 +14,9 @@
 //! assert_eq!(allocmeter::allocations() - before, 0);
 //! ```
 //!
+//! [`allocated_bytes`] tallies the bytes those calls asked for, for tests
+//! that bound how much a path allocates rather than how often.
+//!
 //! Counts are process-global and monotone; tests that share a binary must
 //! compare deltas, not absolutes, and should run single-threaded (or accept
 //! other threads' allocations in the delta).
@@ -22,17 +25,24 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// The counting allocator: forwards to [`System`], tallying every
-/// allocation-acquiring call (`alloc`, `alloc_zeroed`, `realloc`).
+/// allocation-acquiring call (`alloc`, `alloc_zeroed`, `realloc`) and the
+/// bytes it asked for.
 pub struct Counting;
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: pure pass-through to `System`, which upholds the GlobalAlloc
 // contract; the counter is a relaxed atomic with no effect on layout or
 // pointer validity.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -41,12 +51,12 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,4 +64,10 @@ unsafe impl GlobalAlloc for Counting {
 /// Total allocation-acquiring calls since process start.
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Total bytes the allocation-acquiring calls asked for since process
+/// start: each block's size, and for a `realloc` the new size.
+pub fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
 }

@@ -22,19 +22,33 @@ fn boxes_count_allocs_not_frees() {
     assert!(mid - before >= 2, "two boxes, {} allocs", mid - before);
     drop(a);
     drop(b);
-    // A pure free must not move the meter (other test threads may
-    // allocate concurrently, so assert through a direct call instead).
+    // A pure free must not move the meter.  Other test threads may
+    // allocate between the two reads of one window, so repeat the window
+    // until one is quiet: a counting `dealloc` moves the meter in every
+    // window and never gets one.
     let layout = Layout::new::<u64>();
-    // SAFETY: layout is valid and non-zero-sized; the pointer is freed
-    // exactly once with the same layout it was acquired with.
-    unsafe {
-        let p = ALLOC.alloc(layout);
-        assert!(!p.is_null());
-        let at_alloc = allocmeter::allocations();
-        ALLOC.dealloc(p, layout);
-        let at_free = allocmeter::allocations();
-        assert_eq!(at_free, at_alloc, "dealloc moved the allocation meter");
-    }
+    let quiet = (0..10_000).any(|_| {
+        // SAFETY: layout is valid and non-zero-sized; the pointer is freed
+        // exactly once with the same layout it was acquired with.
+        unsafe {
+            let p = ALLOC.alloc(layout);
+            assert!(!p.is_null());
+            let at_alloc = allocmeter::allocations();
+            ALLOC.dealloc(p, layout);
+            allocmeter::allocations() == at_alloc
+        }
+    });
+    assert!(quiet, "dealloc moved the allocation meter in every window");
+}
+
+/// The byte tally grows by at least what the boxes asked for.
+#[test]
+fn bytes_tally_the_sizes_asked_for() {
+    let before = allocmeter::allocated_bytes();
+    let a = std::hint::black_box(Box::new([0u8; 4096]));
+    let grown = allocmeter::allocated_bytes() - before;
+    assert!(grown >= 4096, "a 4096-byte box tallied {grown} bytes");
+    drop(a);
 }
 
 /// `alloc_zeroed` counts and actually zeroes.

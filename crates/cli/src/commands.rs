@@ -1,7 +1,9 @@
 //! The subcommand implementations.  Each returns the text it would print so
 //! tests can assert on output.
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 use flitsim::SimConfig;
 use mtree::{dot, MulticastTree, Schedule, SplitStrategy};
@@ -529,14 +531,20 @@ fn cmd_inspect(a: &Args) -> Result<String, CliError> {
     let trace_out = a.get("trace-out");
 
     // JSONL with a file destination streams straight to disk — the trace
-    // never accumulates in memory.
+    // never accumulates in memory — keeping `--trace-limit` events at most.
+    let write_error = Rc::new(RefCell::new(None));
     let sink = match (format, trace_out) {
         ("jsonl", Some(path)) => {
             let f =
                 std::fs::File::create(path).map_err(|e| err(format!("--trace-out {path}: {e}")))?;
-            Some(flitsim::TraceSink::jsonl(Box::new(
-                std::io::BufWriter::new(f),
-            )))
+            let out = Box::new(KeepError {
+                inner: std::io::BufWriter::new(f),
+                error: Rc::clone(&write_error),
+            });
+            Some(match cfg.trace_limit {
+                Some(limit) => flitsim::TraceSink::jsonl_limited(out, limit),
+                None => flitsim::TraceSink::jsonl(out),
+            })
         }
         _ => None,
     };
@@ -623,18 +631,25 @@ fn cmd_inspect(a: &Args) -> Result<String, CliError> {
         }
         "jsonl" => match trace_out {
             Some(path) => {
-                if out.sim.truncated {
+                let events = out.sim.meta.trace_events + out.sim.meta.trace_dropped;
+                // A failed write or flush is an error; a `--trace-limit`
+                // cut is the prefix the user asked for.
+                if let Some(e) = write_error.borrow().as_ref() {
                     return Err(err(format!(
-                        "--trace-out {path}: writing the jsonl trace failed; the file holds \
-                         at most a prefix of the run's {} events",
-                        out.sim.meta.trace_events + out.sim.meta.trace_dropped
+                        "--trace-out {path}: writing the jsonl trace failed ({e}); the file \
+                         holds at most a prefix of the run's {events} events"
                     )));
                 }
-                let _ = writeln!(
-                    text,
-                    "\njsonl trace streamed to {path} ({} events)",
-                    out.sim.meta.trace_events
-                );
+                if out.sim.truncated {
+                    let _ = writeln!(
+                        text,
+                        "\njsonl trace streamed to {path} (the first {} of {events} events, \
+                         cut at --trace-limit)",
+                        out.sim.meta.trace_events
+                    );
+                } else {
+                    let _ = writeln!(text, "\njsonl trace streamed to {path} ({events} events)");
+                }
             }
             None => {
                 let mut lines = String::new();
@@ -659,6 +674,39 @@ fn cmd_inspect(a: &Args) -> Result<String, CliError> {
         }
     }
     Ok(text)
+}
+
+/// A writer that keeps the first error it returns, so that `optmc inspect`
+/// can tell a trace file whose writes failed from one that `--trace-limit`
+/// cut short: the sink counts both as dropped events.
+struct KeepError<W> {
+    inner: W,
+    error: Rc<RefCell<Option<String>>>,
+}
+
+impl<W> KeepError<W> {
+    fn keep<T>(&self, result: std::io::Result<T>) -> std::io::Result<T> {
+        match result {
+            // `write_all` retries an interrupted write.
+            Err(e) if e.kind() != std::io::ErrorKind::Interrupted => {
+                self.error.borrow_mut().get_or_insert_with(|| e.to_string());
+                Err(e)
+            }
+            result => result,
+        }
+    }
+}
+
+impl<W: std::io::Write> std::io::Write for KeepError<W> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.keep(result)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        let result = self.inner.flush();
+        self.keep(result)
+    }
 }
 
 /// `optmc compare` — all algorithms, averaged over trials.
@@ -882,6 +930,25 @@ mod tests {
         .unwrap_err();
         assert!(e.0.contains("--trace-out /dev/full"), "{}", e.0);
         assert!(e.0.contains("at most a prefix"), "{}", e.0);
+    }
+
+    #[test]
+    fn inspect_jsonl_trace_file_honours_the_trace_limit() {
+        let path = std::env::temp_dir().join("optmc_inspect_limit_test.jsonl");
+        let path_s = path.to_str().unwrap().to_string();
+        let out = run(&format!(
+            "inspect --topo mesh:8x8 --alg opt-tree --nodes 12 --bytes 4096 \
+             --trace-limit 10 --format jsonl --trace-out {path_s}"
+        ))
+        .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(text.lines().count(), 10, "{out}");
+        assert!(
+            out.contains("trace: TRUNCATED (219 events dropped)"),
+            "{out}"
+        );
+        assert!(out.contains("the first 10 of 229 events"), "{out}");
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   one DP execution (single-flight across connections).
 //! * **one-shot mode** (`optmc plan`): one request built from flags,
 //!   answered on stdout, no service loop at all.
+//!
+//! Both serve modes read requests through one bounded line reader: a line
+//! longer than [`MAX_LINE_BYTES`], or not UTF-8, is answered with an error
+//! response and skipped without being buffered, and the stream goes on.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -26,7 +30,7 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use plansvc::{
-    compute_plan, parse_line, step_blocking, Command, Engine, EngineConfig, EngineStats, Input,
+    compute_plan, handle_blocking, parse_line, Command, Engine, EngineConfig, EngineStats, Input,
     ParsedLine, PlanOptions,
 };
 use serde_json::Value;
@@ -105,11 +109,73 @@ impl ServeSummary {
     }
 }
 
+/// The longest request line either serve mode reads, newline excluded:
+/// about twice the longest legal request, one listing all 2^20 nodes of
+/// the largest topology as `members`.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
+/// Read the next request line, without its `\n` or `\r\n`: `None` at the
+/// end of the stream, `Err` with the reason for a line longer than
+/// [`MAX_LINE_BYTES`] or not UTF-8.  An over-long line's remaining bytes
+/// are consumed and dropped as they arrive, so memory stays bounded by
+/// the cap.
+fn read_request<R: BufRead>(input: &mut R) -> std::io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    let mut too_long = false;
+    let mut ended = false;
+    while !ended {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            if line.is_empty() && !too_long {
+                return Ok(None);
+            }
+            break;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        if line.len() + part.len() > MAX_LINE_BYTES {
+            too_long = true;
+            line = Vec::new();
+        }
+        if !too_long {
+            line.extend_from_slice(part);
+        }
+        ended = newline.is_some();
+        let used = newline.map_or(chunk.len(), |at| at + 1);
+        input.consume(used);
+    }
+    if too_long {
+        return Ok(Some(Err(format!(
+            "request line longer than {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    if ended && line.last() == Some(&b'\r') {
+        line.pop();
+    }
+    Ok(Some(String::from_utf8(line).map_err(|_| {
+        "request line is not valid UTF-8".to_string()
+    })))
+}
+
+/// The engine input for one line read by [`read_request`], or `None` for
+/// a blank line, which is skipped.
+fn request_input(id: u64, line: Result<String, String>) -> Option<Input> {
+    match line {
+        Ok(text) if text.trim().is_empty() => None,
+        Ok(text) => Some(Input::Line { id, text }),
+        Err(reason) => Some(Input::Rejected { id, reason }),
+    }
+}
+
 /// Serve a newline-delimited request stream to completion: one response
 /// line per request line, in order, flushed per line.  Pure over the
 /// reader/writer pair, so tests drive it with in-memory buffers.
 pub fn serve_stream<R: BufRead, W: Write>(
-    input: R,
+    mut input: R,
     mut output: W,
     opts: &ServeOptions,
 ) -> Result<ServeSummary, CliError> {
@@ -118,15 +184,16 @@ pub fn serve_stream<R: BufRead, W: Write>(
     let mut hit_ns = Histogram::new();
     let mut miss_ns = Histogram::new();
     let mut next_id = 0u64;
-    for line in input.lines() {
-        let line = line.map_err(|e| err(format!("reading request stream: {e}")))?;
-        if line.trim().is_empty() {
+    while let Some(line) =
+        read_request(&mut input).map_err(|e| err(format!("reading request stream: {e}")))?
+    {
+        let Some(request) = request_input(next_id + 1, line) else {
             continue;
-        }
+        };
         next_id += 1;
         let before = engine.stats();
         let started = Instant::now();
-        let responses = step_blocking(&mut engine, next_id, &line, &plan_opts);
+        let responses = handle_blocking(&mut engine, request, &plan_opts);
         let elapsed_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let after = engine.stats();
         if after.hits > before.hits {
@@ -191,7 +258,7 @@ enum ConnEvent {
     },
     Line {
         conn: u64,
-        text: String,
+        line: Result<String, String>,
     },
     Closed {
         conn: u64,
@@ -232,10 +299,13 @@ pub fn tcp_serve(listener: &TcpListener, opts: &ServeOptions) {
                 ConnEvent::Closed { conn } => {
                     writers.remove(&conn);
                 }
-                ConnEvent::Line { conn, text } => {
+                ConnEvent::Line { conn, line } => {
+                    let Some(request) = request_input(next_id + 1, line) else {
+                        continue;
+                    };
                     next_id += 1;
                     routes.insert(next_id, conn);
-                    engine.handle(Input::Line { id: next_id, text });
+                    engine.handle(request);
                 }
             }
         }
@@ -301,13 +371,9 @@ fn writer_loop(stream: Option<TcpStream>, lines: &mpsc::Receiver<String>) {
 }
 
 fn reader_loop(stream: TcpStream, conn: u64, tx: &mpsc::Sender<ConnEvent>) {
-    let reader = std::io::BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(text) = line else { break };
-        if text.trim().is_empty() {
-            continue;
-        }
-        if tx.send(ConnEvent::Line { conn, text }).is_err() {
+    let mut reader = std::io::BufReader::new(stream);
+    while let Ok(Some(line)) = read_request(&mut reader) {
+        if tx.send(ConnEvent::Line { conn, line }).is_err() {
             return;
         }
     }
@@ -486,6 +552,59 @@ mod tests {
         assert_eq!(summary.stats.errors, 1);
     }
 
+    /// A valid request, a line 1 MiB over [`MAX_LINE_BYTES`], and a valid
+    /// request.
+    fn over_long_batch() -> Vec<u8> {
+        let mut batch = b"{\"id\": 1, \"topo\": \"mesh:4x4\", \"k\": 4}\n".to_vec();
+        batch.resize(batch.len() + MAX_LINE_BYTES + (1 << 20), b'x');
+        batch.extend_from_slice(b"\n{\"id\": 3, \"topo\": \"mesh:4x4\", \"k\": 4}\n");
+        batch
+    }
+
+    fn limit_error() -> String {
+        format!("{{\"ok\":false,\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}")
+    }
+
+    #[test]
+    fn an_over_long_line_is_refused_and_the_stream_goes_on() {
+        let mut out = Vec::new();
+        let summary = serve_stream(Cursor::new(over_long_batch()), &mut out, &opts(8)).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out:.300}");
+        assert!(
+            lines[0].starts_with("{\"id\":1,\"ok\":true"),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(lines[1], limit_error());
+        assert!(
+            lines[2].starts_with("{\"id\":3,\"ok\":true"),
+            "{}",
+            lines[2]
+        );
+        assert_eq!(summary.stats.errors, 1);
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_is_refused_and_the_stream_goes_on() {
+        let batch = b"{\"id\": 1, \"topo\": \"mesh:4x4\", \"k\": 4}\n\xff\xfe\n{\"id\": 3, \"topo\": \"mesh:4x4\", \"k\": 4}";
+        let mut out = Vec::new();
+        serve_stream(Cursor::new(&batch[..]), &mut out, &opts(8)).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert_eq!(
+            lines[1],
+            r#"{"ok":false,"error":"request line is not valid UTF-8"}"#
+        );
+        assert!(
+            lines[2].starts_with("{\"id\":3,\"ok\":true"),
+            "{}",
+            lines[2]
+        );
+    }
+
     #[test]
     fn unbuildable_topology_is_an_error_response_not_a_crash() {
         // A torus side of 1 used to reach `Torus::new`'s assertion and take
@@ -555,5 +674,45 @@ mod tests {
         let mut ls = String::new();
         ra.read_line(&mut ls).unwrap();
         assert!(ls.contains("\"requests\":2"), "{ls}");
+    }
+
+    #[test]
+    fn tcp_mode_refuses_an_over_long_line_and_keeps_the_connection() {
+        let listener = match TcpListener::bind("127.0.0.1:0") {
+            Ok(l) => l,
+            Err(e) => {
+                eprintln!(
+                    "SKIP tcp_mode_refuses_an_over_long_line_and_keeps_the_connection: bind: {e}"
+                );
+                return;
+            }
+        };
+        let addr = listener.local_addr().unwrap();
+        let serve_opts = opts(8);
+        std::thread::spawn(move || tcp_serve(&listener, &serve_opts));
+        let mut conn = TcpStream::connect(addr).unwrap();
+        let mut answers = std::io::BufReader::new(conn.try_clone().unwrap());
+        // One line at a time, each answered before the next is sent, so
+        // the answers come back in request order.
+        let batch = over_long_batch();
+        let mut lines = Vec::new();
+        for line in batch.split_inclusive(|&b| b == b'\n') {
+            conn.write_all(line).unwrap();
+            let mut answer = String::new();
+            answers.read_line(&mut answer).unwrap();
+            lines.push(answer.trim_end().to_string());
+        }
+        assert_eq!(lines.len(), 3);
+        assert!(
+            lines[0].starts_with("{\"id\":1,\"ok\":true"),
+            "{}",
+            lines[0]
+        );
+        assert_eq!(lines[1], limit_error());
+        assert!(
+            lines[2].starts_with("{\"id\":3,\"ok\":true"),
+            "{}",
+            lines[2]
+        );
     }
 }

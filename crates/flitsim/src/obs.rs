@@ -150,12 +150,14 @@ pub enum TraceSink {
     /// only when a worm waits on it (releases nobody waited on are tallied
     /// at the end of the run).
     Counters(EventCounts),
-    /// Stream events as JSON Lines to a writer; nothing is retained in
-    /// memory.  Write errors are sticky: from the first failed write on,
-    /// every event is counted in `dropped` instead of written, so what
-    /// reached the writer stays a prefix of the run.
+    /// Stream events as JSON Lines to a writer, optionally only the first
+    /// `limit`; nothing is retained in memory.  Events past the limit are
+    /// counted in `dropped`.  Write errors are sticky: from the first
+    /// failed write on, every event is counted in `dropped` instead of
+    /// written, so what reached the writer stays a prefix of the run.
     Jsonl {
         out: Box<dyn Write>,
+        limit: Option<usize>,
         written: u64,
         dropped: u64,
     },
@@ -250,12 +252,12 @@ impl EventCounts {
 pub struct SinkSummary {
     /// Events retained in memory (empty for `Null`/`Jsonl`).
     pub events: Vec<TraceEvent>,
-    /// Events the sink saw but could not keep: past a `Memory` limit, or
-    /// at and after a failed `Jsonl` write.
+    /// Events the sink saw but could not keep: past a `Memory` or `Jsonl`
+    /// limit, or at and after a failed `Jsonl` write.
     pub dropped: u64,
     /// True when the kept trace is at best a prefix of the run: a limited
-    /// `Memory` sink dropped events, or a `Jsonl` write or the final flush
-    /// failed (a failed flush loses an unknown tail of what was written).
+    /// sink dropped events, or a `Jsonl` write or the final flush failed
+    /// (a failed flush loses an unknown tail of what was written).
     pub truncated: bool,
     /// Events handed to the writer without error (JSONL only).
     pub streamed: u64,
@@ -286,6 +288,17 @@ impl TraceSink {
     pub fn jsonl(out: Box<dyn Write>) -> Self {
         TraceSink::Jsonl {
             out,
+            limit: None,
+            written: 0,
+            dropped: 0,
+        }
+    }
+
+    /// A streaming JSON-Lines sink writing at most `limit` events.
+    pub fn jsonl_limited(out: Box<dyn Write>, limit: usize) -> Self {
+        TraceSink::Jsonl {
+            out,
+            limit: Some(limit),
             written: 0,
             dropped: 0,
         }
@@ -348,6 +361,7 @@ impl TraceSink {
                 mut out,
                 written,
                 dropped,
+                ..
             } => {
                 let flushed = out.flush().is_ok();
                 SinkSummary {
@@ -407,10 +421,13 @@ impl TraceSink {
             }
             TraceSink::Jsonl {
                 out,
+                limit,
                 written,
                 dropped,
             } => {
+                // Past the limit or a failed write, `dropped` is non-zero.
                 let ok = *dropped == 0
+                    && limit.is_none_or(|l| *written < l as u64)
                     && serde_json::to_string(&e).is_ok_and(|line| writeln!(out, "{line}").is_ok());
                 if ok {
                     *written += 1;
@@ -742,6 +759,30 @@ mod tests {
         assert_eq!(sum.streamed, 2);
         assert_eq!(sum.dropped, 3, "the failed event and every later one");
         assert!(sum.truncated);
+    }
+
+    #[test]
+    fn jsonl_limit_writes_a_prefix_and_counts_the_rest() {
+        let mut s = TraceSink::jsonl_limited(
+            Box::new(Failing {
+                lines: 3,
+                fail_flush: false,
+            }),
+            3,
+        );
+        for t in 0..5u64 {
+            s.on_channel_acquire(t, 1, ChannelId(3));
+        }
+        // Three lines fit the writer exactly: had the sink written a
+        // fourth, that write would have failed.
+        let sum = s.finish();
+        assert_eq!((sum.streamed, sum.dropped), (3, 2));
+        assert!(sum.truncated);
+        // Under the limit nothing is dropped.
+        let mut s = TraceSink::jsonl_limited(Box::new(std::io::sink()), 3);
+        s.on_channel_acquire(0, 1, ChannelId(3));
+        let sum = s.finish();
+        assert_eq!((sum.streamed, sum.dropped, sum.truncated), (1, 0, false));
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub enum SplitKind {
 }
 
 /// A named multicast algorithm = ordering × split rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Algorithm {
     /// OPT-mesh (Alg. 3.1) / OPT-min (Alg. 4.1): optimal splits on the
     /// architecture chain.  Which name applies depends on the topology the

@@ -7,23 +7,59 @@
 //! the eviction order is a pure function of the access history, never of
 //! hash-map iteration order or wall-clock time.
 //!
-//! An entry is only the plan's compact JSON
+//! An entry is only the tail of its responses, `"key":…,"plan":…`: the
+//! JSON-escaped key and the plan's compact JSON
 //! ([`crate::PlanBody::render_json`]), written once when the plan is
-//! computed: every hit splices those bytes into its response, and nothing
-//! reads the plan in any other form.
+//! computed.  Every response for the plan splices those bytes, and
+//! nothing reads the plan in any other form.
+//!
+//! Entries are found by their member-list key or through an **alias**, the
+//! seeded form of a request that drew those members.  An entry has at most
+//! one alias, so there are never more aliases than plans; an alias holds
+//! one seeded key and the entry's slot, and is dropped with its entry.
 
 use std::collections::HashMap;
 
+use crate::request::SeededKey;
+
 struct Entry {
-    plan: String,
+    tail: String,
     last_used: u64,
+    /// Whether an alias points at this entry.
+    aliased: bool,
 }
 
-/// A bounded LRU cache from request keys to rendered plans.
+/// A bounded LRU cache from request keys to rendered response tails.
 pub struct PlanCache {
     capacity: usize,
     seq: u64,
-    map: HashMap<String, Entry>,
+    /// Built by the first insert: an empty cache holds no tables, so a
+    /// new engine costs no more to build than with the one map it had
+    /// before aliases.
+    tables: Option<Box<Tables>>,
+}
+
+#[derive(Default)]
+struct Tables {
+    /// Member-list key → slot in `entries`.
+    index: HashMap<String, usize>,
+    /// Seeded key → slot in `entries`.
+    aliases: HashMap<SeededKey, usize>,
+    entries: Vec<Entry>,
+}
+
+impl Tables {
+    fn touch(&mut self, slot: usize, seq: u64) -> &str {
+        let e = &mut self.entries[slot];
+        e.last_used = seq;
+        &e.tail
+    }
+
+    fn unalias(&mut self, slot: usize) {
+        if std::mem::take(&mut self.entries[slot].aliased) {
+            self.aliases.retain(|_, s| *s != slot);
+        }
+    }
 }
 
 impl PlanCache {
@@ -33,62 +69,85 @@ impl PlanCache {
         PlanCache {
             capacity: capacity.max(1),
             seq: 0,
-            map: HashMap::new(),
+            tables: None,
         }
     }
 
-    /// Look up a rendered plan, refreshing its recency on a hit.
+    /// Look up a response tail by key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &str) -> Option<&str> {
         self.seq += 1;
-        let seq = self.seq;
-        self.map.get_mut(key).map(|e| {
-            e.last_used = seq;
-            e.plan.as_str()
-        })
+        let t = self.tables.as_deref_mut()?;
+        let slot = *t.index.get(key)?;
+        Some(t.touch(slot, self.seq))
     }
 
-    /// Insert a rendered plan, evicting the least-recently-used entry when
-    /// full.  Returns the evicted key, if any.
-    pub fn insert(&mut self, key: String, plan: String) -> Option<String> {
+    /// Look up a response tail by the seeded form of a request, refreshing
+    /// its recency on a hit like [`PlanCache::get`].
+    pub(crate) fn get_alias(&mut self, alias: &SeededKey) -> Option<&str> {
         self.seq += 1;
-        if let Some(e) = self.map.get_mut(&key) {
+        let t = self.tables.as_deref_mut()?;
+        let slot = *t.aliases.get(alias)?;
+        Some(t.touch(slot, self.seq))
+    }
+
+    /// Make `alias` the one alias of the entry cached under `key`, if
+    /// there is one; any alias it had before is dropped.
+    pub(crate) fn alias(&mut self, key: &str, alias: SeededKey) {
+        let Some(t) = self.tables.as_deref_mut() else {
+            return;
+        };
+        let Some(&slot) = t.index.get(key) else {
+            return;
+        };
+        t.unalias(slot);
+        t.entries[slot].aliased = true;
+        t.aliases.insert(alias, slot);
+    }
+
+    /// Insert a response tail, evicting the least-recently-used entry (and
+    /// its alias) when full.  Returns the evicted key, if any.
+    pub fn insert(&mut self, key: String, tail: String) -> Option<String> {
+        self.seq += 1;
+        let fresh = Entry {
+            tail,
+            last_used: self.seq,
+            aliased: false,
+        };
+        let t = self.tables.get_or_insert_with(Box::default);
+        if let Some(&slot) = t.index.get(&key) {
             // Re-insertion of a live key refreshes it in place.
-            e.plan = plan;
-            e.last_used = self.seq;
+            t.entries[slot].tail = fresh.tail;
+            t.entries[slot].last_used = fresh.last_used;
             return None;
         }
-        let evicted = if self.map.len() >= self.capacity {
-            let victim = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("cache is non-empty when full");
-            self.map.remove(&victim);
-            Some(victim)
-        } else {
-            None
-        };
-        self.map.insert(
-            key,
-            Entry {
-                plan,
-                last_used: self.seq,
-            },
-        );
-        evicted
+        if t.index.len() < self.capacity {
+            t.index.insert(key, t.entries.len());
+            t.entries.push(fresh);
+            return None;
+        }
+        let (victim, slot) = t
+            .index
+            .iter()
+            .min_by_key(|(_, &s)| t.entries[s].last_used)
+            .map(|(k, &s)| (k.clone(), s))
+            .expect("cache is non-empty when full");
+        t.index.remove(&victim);
+        t.unalias(slot);
+        t.entries[slot] = fresh;
+        t.index.insert(key, slot);
+        Some(victim)
     }
 
     /// Number of plans held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.tables.as_ref().map_or(0, |t| t.index.len())
     }
 
     /// True when no plans are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// The configured capacity.
@@ -101,6 +160,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::{parse_request, Request};
 
     fn body(tag: u64) -> String {
         crate::PlanBody {
@@ -117,6 +177,14 @@ mod tests {
             certificate: None,
         }
         .render_json()
+    }
+
+    fn seeded(seed: u64) -> SeededKey {
+        let line = format!(r#"{{"topo": "mesh:4x4", "k": 2, "seed": {seed}}}"#);
+        let Ok(Request::Plan(plan, _)) = parse_request(&line) else {
+            panic!("expected a plan request");
+        };
+        plan.seeded().expect("a seeded request").clone()
     }
 
     #[test]
@@ -168,5 +236,28 @@ mod tests {
         assert_eq!(c.insert("a".into(), body(1)), None);
         assert_eq!(c.insert("b".into(), body(2)), Some("a".into()));
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn an_alias_hit_stamps_its_entry_and_dies_with_it() {
+        let mut c = PlanCache::new(2);
+        c.insert("a".into(), body(1));
+        c.insert("b".into(), body(2));
+        c.alias("a", seeded(1));
+        c.alias("nothing cached", seeded(7));
+        let aliases = |c: &PlanCache| c.tables.as_ref().map_or(0, |t| t.aliases.len());
+        assert_eq!(aliases(&c), 1, "an alias needs a live entry");
+        // The alias hit makes `b` the LRU entry.
+        assert_eq!(c.get_alias(&seeded(1)), Some(body(1).as_str()));
+        assert_eq!(c.insert("c".into(), body(3)), Some("b".into()));
+        // A second alias replaces the first: one per entry.
+        c.alias("a", seeded(2));
+        assert!(c.get_alias(&seeded(1)).is_none());
+        assert_eq!(aliases(&c), 1);
+        // Evicting `a` drops its alias.
+        c.get("c");
+        assert_eq!(c.insert("d".into(), body(4)), Some("a".into()));
+        assert!(c.get_alias(&seeded(2)).is_none());
+        assert_eq!(aliases(&c), 0);
     }
 }

@@ -6,12 +6,17 @@
 //!
 //! * [`Input::Line`] — one request line arrived (from stdin, a TCP
 //!   connection, a test vector — the engine cannot tell).
+//! * [`Input::Rejected`] — the shell refused a line it could not read.
 //! * [`Command::Respond`] — write this response line to the client that
 //!   sent request `id`.
 //! * [`Command::Compute`] — run the expensive plan computation
 //!   ([`crate::compute_plan`]) for this request, in whatever execution
 //!   context the shell likes, and feed the result back as
 //!   [`Input::Computed`].
+//!
+//! A seeded request is answered from the cache's alias for its seeded form
+//! when there is one, before its placement is drawn; otherwise the engine
+//! draws the members and looks the plan up by its member-list key.
 //!
 //! Cache misses for the same key are **single-flighted**: the first miss
 //! emits one `Compute`; requests for that key arriving before the result
@@ -23,11 +28,12 @@
 
 use std::collections::VecDeque;
 
+use netcheck::certificate::push_json_str;
 use serde_json::Value;
 
 use crate::cache::PlanCache;
 use crate::plan::PlanBody;
-use crate::request::{parse_line, ParsedLine, PlanRequest};
+use crate::request::{parse_request, PlanRequest, Request, SeededKey};
 
 /// Shell-assigned identifier routing a response back to its requester.
 pub type RequestId = u64;
@@ -41,6 +47,15 @@ pub enum Input {
         id: RequestId,
         /// The raw line (newline stripped).
         text: String,
+    },
+    /// A request line the shell could not read (longer than its limit, or
+    /// not UTF-8): answered with an error response, like a line that does
+    /// not parse.
+    Rejected {
+        /// Shell-assigned routing id.
+        id: RequestId,
+        /// Why the line was refused.
+        reason: String,
     },
     /// A previously commanded computation finished.
     Computed {
@@ -100,8 +115,8 @@ pub struct EngineStats {
     pub dp_runs: u64,
     /// Cache evictions.
     pub evictions: u64,
-    /// Requests rejected before keying (parse/validation failures) plus
-    /// failed computations.
+    /// Requests rejected before keying (unreadable lines, parse and
+    /// validation failures) plus failed computations.
     pub errors: u64,
 }
 
@@ -110,13 +125,21 @@ struct Waiter {
     echo: Option<Value>,
 }
 
+/// One computation in flight: its key, the seeded form of the request that
+/// commanded it (the alias its cache entry gets), and who waits for it.
+struct InFlight {
+    key: String,
+    alias: Option<SeededKey>,
+    waiters: Vec<Waiter>,
+}
+
 /// The sans-io planning engine.  See the module docs for the contract.
 pub struct Engine {
     cache: PlanCache,
-    /// In-flight computations: key → waiters, in request-arrival order.
-    /// A `Vec` keyed by string keeps iteration deterministic; in-flight
-    /// counts are small (bounded by the shell's concurrency).
-    inflight: Vec<(String, Vec<Waiter>)>,
+    /// In-flight computations, waiters in request-arrival order.  A `Vec`
+    /// keeps iteration deterministic; in-flight counts are small (bounded
+    /// by the shell's concurrency).
+    inflight: Vec<InFlight>,
     out: VecDeque<Command>,
     stats: EngineStats,
 }
@@ -137,6 +160,10 @@ impl Engine {
     pub fn handle(&mut self, input: Input) {
         match input {
             Input::Line { id, text } => self.handle_line(id, &text),
+            Input::Rejected { id, reason } => {
+                self.stats.errors += 1;
+                self.respond(id, error_line(None, &reason));
+            }
             Input::Computed { key, result } => self.handle_computed(&key, result),
         }
     }
@@ -171,54 +198,79 @@ impl Engine {
     }
 
     fn handle_line(&mut self, id: RequestId, text: &str) {
-        match parse_line(text) {
+        let (plan, echo) = match parse_request(text) {
             Err(e) => {
                 self.stats.errors += 1;
                 self.respond(id, error_line(e.echo.as_ref(), &e.message));
+                return;
             }
-            Ok(ParsedLine::Stats(echo)) => {
+            Ok(Request::Stats(echo)) => {
                 let line = self.stats_line(echo.as_ref());
                 self.respond(id, line);
+                return;
             }
-            Ok(ParsedLine::Plan(request, echo)) => {
-                self.stats.requests += 1;
-                let key = request.key();
-                if let Some(plan) = self.cache.get(&key) {
-                    self.stats.hits += 1;
-                    let line = response_line(echo.as_ref(), true, &key, plan);
-                    self.respond(id, line);
-                } else if let Some((_, waiters)) = self.inflight.iter_mut().find(|(k, _)| *k == key)
-                {
-                    self.stats.coalesced += 1;
-                    waiters.push(Waiter { id, echo });
-                } else {
-                    self.stats.misses += 1;
-                    self.inflight.push((key.clone(), vec![Waiter { id, echo }]));
-                    self.out.push_back(Command::Compute { key, request });
-                }
+            Ok(Request::Plan(plan, echo)) => (plan, echo),
+        };
+        self.stats.requests += 1;
+        // A seeded hit: no placement drawn, no key built.
+        if let Some(tail) = plan.seeded().and_then(|s| self.cache.get_alias(s)) {
+            let line = response_line(echo.as_ref(), true, tail);
+            self.stats.hits += 1;
+            self.respond(id, line);
+            return;
+        }
+        let (request, alias) = plan.expand();
+        let key = request.key();
+        if let Some(tail) = self.cache.get(&key) {
+            let line = response_line(echo.as_ref(), true, tail);
+            if let Some(alias) = alias {
+                self.cache.alias(&key, alias);
             }
+            self.stats.hits += 1;
+            self.respond(id, line);
+        } else if let Some(f) = self.inflight.iter_mut().find(|f| f.key == key) {
+            self.stats.coalesced += 1;
+            f.waiters.push(Waiter { id, echo });
+        } else {
+            self.stats.misses += 1;
+            self.inflight.push(InFlight {
+                key: key.clone(),
+                alias,
+                waiters: vec![Waiter { id, echo }],
+            });
+            self.out.push_back(Command::Compute {
+                key,
+                request: Box::new(request),
+            });
         }
     }
 
     fn handle_computed(&mut self, key: &str, result: Result<Box<PlanBody>, String>) {
-        let Some(pos) = self.inflight.iter().position(|(k, _)| k == key) else {
+        let Some(pos) = self.inflight.iter().position(|f| f.key == key) else {
             // A stray completion (shell bug or duplicate); nothing waits,
             // nothing to do.
             return;
         };
-        let (_, waiters) = self.inflight.remove(pos);
+        let InFlight {
+            key,
+            alias,
+            waiters,
+        } = self.inflight.remove(pos);
         match result {
             Ok(body) => {
                 self.stats.dp_runs += 1;
                 // Render once; every waiter now — and every future hit —
                 // splices these bytes instead of re-walking the plan.
-                let plan = body.render_json();
+                let tail = response_tail(&key, &body);
                 for w in &waiters {
-                    let line = response_line(w.echo.as_ref(), false, key, &plan);
+                    let line = response_line(w.echo.as_ref(), false, &tail);
                     self.respond(w.id, line);
                 }
-                if self.cache.insert(key.to_string(), plan).is_some() {
+                if self.cache.insert(key.clone(), tail).is_some() {
                     self.stats.evictions += 1;
+                }
+                if let Some(alias) = alias {
+                    self.cache.alias(&key, alias);
                 }
             }
             Err(message) => {
@@ -268,12 +320,25 @@ fn render(v: &Value) -> String {
     serde_json::to_string(v).expect("response JSON render cannot fail")
 }
 
-/// Build a success response by splicing the pre-rendered plan bytes into
+/// The part of every success response for one plan that does not depend
+/// on the request: `"key":<key>,"plan":<plan>`, the key JSON-escaped.
+/// Written once, when the plan is computed, and cached.
+fn response_tail(key: &str, body: &PlanBody) -> String {
+    let mut tail = String::with_capacity(key.len() + 16 + body.json_capacity());
+    tail.push_str("\"key\":");
+    push_json_str(&mut tail, key);
+    tail.push_str(",\"plan\":");
+    body.write_json(&mut tail);
+    tail
+}
+
+/// Build a success response by splicing a cached [`response_tail`] into
 /// the envelope.  Byte-compatible with rendering the equivalent
 /// [`Value::Object`] (pinned by a test below) — this is the hot path for
-/// cache hits, so the plan JSON must not be re-generated per request.
-fn response_line(echo: Option<&Value>, cached: bool, key: &str, plan_json: &str) -> String {
-    let mut s = String::with_capacity(plan_json.len() + key.len() + 64);
+/// cache hits, so neither the key nor the plan JSON is re-generated per
+/// request.
+fn response_line(echo: Option<&Value>, cached: bool, tail: &str) -> String {
+    let mut s = String::with_capacity(tail.len() + 64);
     s.push('{');
     if let Some(e) = echo {
         s.push_str("\"id\":");
@@ -281,11 +346,8 @@ fn response_line(echo: Option<&Value>, cached: bool, key: &str, plan_json: &str)
         s.push(',');
     }
     s.push_str("\"ok\":true,\"cached\":");
-    s.push_str(if cached { "true" } else { "false" });
-    s.push_str(",\"key\":");
-    s.push_str(&render(&Value::Str(key.to_string())));
-    s.push_str(",\"plan\":");
-    s.push_str(plan_json);
+    s.push_str(if cached { "true," } else { "false," });
+    s.push_str(tail);
     s.push('}');
     s
 }
@@ -319,20 +381,23 @@ mod tests {
             };
             let body = crate::compute_plan(&request, &crate::PlanOptions { certify: true })
                 .expect("certified plan");
-            let key = request.key();
-            let plan_json = body.render_json();
-            for echo in [None, Some(Value::UInt(7)), Some(Value::Str("x|9\"".into()))] {
-                for cached in [false, true] {
-                    let spliced = response_line(echo.as_ref(), cached, &key, &plan_json);
-                    let mut fields = Vec::new();
-                    if let Some(e) = &echo {
-                        fields.push(("id".to_string(), e.clone()));
+            // The cached tail is the plan's key and bytes, rendered once;
+            // the second key needs JSON escapes.
+            for key in [request.key(), "plan|\"q\"\\|\n\u{1}".to_string()] {
+                let tail = response_tail(&key, &body);
+                for echo in [None, Some(Value::UInt(7)), Some(Value::Str("x|9\"".into()))] {
+                    for cached in [false, true] {
+                        let spliced = response_line(echo.as_ref(), cached, &tail);
+                        let mut fields = Vec::new();
+                        if let Some(e) = &echo {
+                            fields.push(("id".to_string(), e.clone()));
+                        }
+                        fields.push(("ok".to_string(), Value::Bool(true)));
+                        fields.push(("cached".to_string(), Value::Bool(cached)));
+                        fields.push(("key".to_string(), Value::Str(key.clone())));
+                        fields.push(("plan".to_string(), body.to_value()));
+                        assert_eq!(spliced, render(&Value::Object(fields)), "{topo}");
                     }
-                    fields.push(("ok".to_string(), Value::Bool(true)));
-                    fields.push(("cached".to_string(), Value::Bool(cached)));
-                    fields.push(("key".to_string(), Value::Str(key.clone())));
-                    fields.push(("plan".to_string(), body.to_value()));
-                    assert_eq!(spliced, render(&Value::Object(fields)), "{topo}");
                 }
             }
         }

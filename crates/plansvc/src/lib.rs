@@ -7,7 +7,8 @@
 //! of the `engineio` engine and magic-wormhole's core/io crates):
 //!
 //! * [`Engine`] — the state machine.  [`Input`] events in ([`Input::Line`]
-//!   request lines, [`Input::Computed`] finished computations),
+//!   request lines, [`Input::Rejected`] lines the shell could not read,
+//!   [`Input::Computed`] finished computations),
 //!   [`Command`]s out ([`Command::Respond`] response lines,
 //!   [`Command::Compute`] work orders).  No sockets, no clocks, no files —
 //!   every transition is a pure function of the input history, so scripted
@@ -16,7 +17,10 @@
 //! * [`PlanCache`] — content-addressed storage of computed plans, keyed by
 //!   [`PlanRequest::key`] through [`campaign::key::compose`] (the same
 //!   injective composition campaign cells use), bounded, with
-//!   deterministic LRU-by-sequence eviction.
+//!   deterministic LRU-by-sequence eviction.  Each plan may also be found
+//!   through an alias, the seeded form `(topo, alg, bytes, k, seed,
+//!   params)` of a request that drew its members, so a repeated seeded
+//!   request is answered without drawing its placement.
 //! * single-flight batching — concurrent misses for one key run the OPT
 //!   DP once; late arrivals join the first request's waiter list and are
 //!   answered from the one [`Input::Computed`] event.
@@ -92,19 +96,27 @@ impl EngineStats {
 /// synchronously via [`compute_plan`], and collect the emitted responses.
 ///
 /// This is the canonical *blocking* shell loop in miniature — the CLI's
-/// stdin mode, the tests, and the `perfbench/` benchmark all use it — and
-/// it contains the only call site that turns a work order back into an
-/// [`Input::Computed`] event.
+/// stdin mode, the tests, and the `perfbench/` benchmark all use it.
 pub fn step_blocking(
     engine: &mut Engine,
     id: RequestId,
     text: &str,
     opts: &PlanOptions,
 ) -> Vec<(RequestId, String)> {
-    engine.handle(Input::Line {
-        id,
-        text: text.to_string(),
-    });
+    let text = text.to_string();
+    handle_blocking(engine, Input::Line { id, text }, opts)
+}
+
+/// [`step_blocking`] for any input event: feed `input`, run every
+/// [`Command::Compute`] it leads to through [`compute_plan`] and feed the
+/// result back as an [`Input::Computed`] event, and collect the emitted
+/// responses.
+pub fn handle_blocking(
+    engine: &mut Engine,
+    input: Input,
+    opts: &PlanOptions,
+) -> Vec<(RequestId, String)> {
+    engine.handle(input);
     let mut responses = Vec::new();
     while let Some(cmd) = engine.poll() {
         match cmd {

@@ -96,20 +96,30 @@ impl PlanBody {
 
     /// The compact JSON of [`PlanBody::to_value`], written straight to
     /// bytes: exactly `serde_json::to_string(&self.to_value())`, without
-    /// building the `Value` tree.  The engine caches these bytes and
-    /// splices them into every response for the plan.
+    /// building the `Value` tree.
     #[must_use]
     pub fn render_json(&self) -> String {
-        // Sized from the field counts so that plans do not reallocate while
-        // being written; a certificate window takes about 70 bytes.
+        let mut out = String::with_capacity(self.json_capacity());
+        self.write_json(&mut out);
+        out
+    }
+
+    /// A size hint for [`PlanBody::render_json`], from the field counts,
+    /// so that plans do not reallocate while being written; a certificate
+    /// window takes about 70 bytes.
+    pub(crate) fn json_capacity(&self) -> usize {
         let windows = self.certificate.as_ref().map_or(0, |c| c.windows.len());
-        let mut out = String::with_capacity(
-            256 + 16 * self.chain.len() + 40 * self.sends.len() + 72 * windows,
-        );
+        256 + 16 * self.chain.len() + 40 * self.sends.len() + 72 * windows
+    }
+
+    /// Append [`PlanBody::render_json`]'s bytes to `out`.  The engine
+    /// writes them once, after the plan's key, into the response tail it
+    /// caches and splices into every response for the plan.
+    pub(crate) fn write_json(&self, out: &mut String) {
         out.push_str("{\"topo\":");
-        push_json_str(&mut out, &self.topo);
+        push_json_str(out, &self.topo);
         out.push_str(",\"algorithm\":");
-        push_json_str(&mut out, &self.algorithm);
+        push_json_str(out, &self.algorithm);
         for (key, v) in [
             (",\"k\":", self.k as u64),
             (",\"bytes\":", self.bytes),
@@ -119,14 +129,14 @@ impl PlanBody {
             (",\"depth\":", self.depth as u64),
         ] {
             out.push_str(key);
-            push_uint(&mut out, v);
+            push_uint(out, v);
         }
         out.push_str(",\"chain\":[");
         for (i, &n) in self.chain.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_uint(&mut out, n.into());
+            push_uint(out, n.into());
         }
         out.push_str("],\"sends\":[");
         for (i, &(from, to, start, arrive)) in self.sends.iter().enumerate() {
@@ -134,13 +144,13 @@ impl PlanBody {
                 out.push(',');
             }
             out.push('[');
-            push_uint(&mut out, from.into());
+            push_uint(out, from.into());
             out.push(',');
-            push_uint(&mut out, to.into());
+            push_uint(out, to.into());
             out.push(',');
-            push_uint(&mut out, start);
+            push_uint(out, start);
             out.push(',');
-            push_uint(&mut out, arrive);
+            push_uint(out, arrive);
             out.push(']');
         }
         out.push(']');
@@ -148,10 +158,9 @@ impl PlanBody {
             out.push_str(",\"clean\":");
             out.push_str(if cert.clean { "true" } else { "false" });
             out.push_str(",\"certificate\":");
-            cert.write_json_compact(&mut out);
+            cert.write_json_compact(out);
         }
         out.push('}');
-        out
     }
 }
 

@@ -14,9 +14,13 @@
 //! Any `"id"` member is echoed verbatim in the response, so pipelined
 //! clients can match answers to questions.
 //!
-//! Seeded placements are expanded to concrete members *before* the request
-//! is keyed, so `{"k": 8, "seed": 1}` and the equivalent explicit
-//! `"members"` list share one cache entry.
+//! A seeded request stays seeded until a plan must be found by its members:
+//! the engine first looks its resolved seeded form up among the cache's
+//! aliases, and only when that misses draws the placement (a shuffle of all
+//! n nodes) and keys the request by its members.  So a hit does no work in
+//! the size of the network, and `{"k": 8, "seed": 1}` and the equivalent
+//! explicit `"members"` list still share one cache entry.  [`parse_line`]
+//! returns the expanded form.
 
 use netcheck::certificate::push_uint;
 use optmc::{random_placement, Algorithm};
@@ -77,11 +81,70 @@ impl PlanRequest {
     }
 }
 
+/// The resolved seeded form of a request, `(topo, alg, bytes, k, seed,
+/// params)`, defaults filled in: the key of the plan cache's aliases.
+/// Equal seeded keys always draw the same members, so they always name
+/// the same plan.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct SeededKey {
+    topo: String,
+    algorithm: Algorithm,
+    bytes: u64,
+    k: usize,
+    seed: u64,
+    params: Option<(Time, Time)>,
+}
+
+/// A validated plan request whose seeded placement, if it has one, is not
+/// drawn yet.
+pub(crate) enum Unexpanded {
+    /// Explicit `"members"`: already concrete.
+    Members(PlanRequest),
+    /// `"k"`/`"seed"` on a network of `nodes` nodes.
+    Seeded { key: SeededKey, nodes: usize },
+}
+
+impl Unexpanded {
+    /// The seeded form to look up among the cache's aliases, if any.
+    pub(crate) fn seeded(&self) -> Option<&SeededKey> {
+        match self {
+            Unexpanded::Members(_) => None,
+            Unexpanded::Seeded { key, .. } => Some(key),
+        }
+    }
+
+    /// Draw the placement: the concrete request, plus the seeded form it
+    /// came from.
+    pub(crate) fn expand(self) -> (PlanRequest, Option<SeededKey>) {
+        match self {
+            Unexpanded::Members(request) => (request, None),
+            Unexpanded::Seeded { key, nodes } => {
+                let request = PlanRequest {
+                    topo: key.topo.clone(),
+                    algorithm: key.algorithm,
+                    members: random_placement(nodes, key.k, key.seed),
+                    bytes: key.bytes,
+                    params: key.params,
+                };
+                (request, Some(key))
+            }
+        }
+    }
+}
+
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParsedLine {
     /// A plan request plus the `"id"` echo, if any.
     Plan(Box<PlanRequest>, Option<Value>),
+    /// A stats request plus the `"id"` echo, if any.
+    Stats(Option<Value>),
+}
+
+/// A request line as the engine reads it: [`ParsedLine`] before expansion.
+pub(crate) enum Request {
+    /// A plan request plus the `"id"` echo, if any.
+    Plan(Unexpanded, Option<Value>),
     /// A stats request plus the `"id"` echo, if any.
     Stats(Option<Value>),
 }
@@ -108,13 +171,23 @@ fn u64_member(v: &Value, echo: &Option<Value>, name: &str) -> Result<u64, ParseE
         .ok_or_else(|| bad(echo, format!("'{name}' must be a non-negative integer")))
 }
 
-/// Parse one request line (see the module docs for the grammar).
+/// Parse one request line (see the module docs for the grammar), drawing
+/// any seeded placement.
 ///
 /// # Errors
 /// Returns a [`ParseError`] carrying the `"id"` echo whenever the line is
 /// syntactically JSON but semantically broken, so the shell can still
 /// route the error to the right client.
 pub fn parse_line(text: &str) -> Result<ParsedLine, ParseError> {
+    Ok(match parse_request(text)? {
+        Request::Plan(plan, echo) => ParsedLine::Plan(Box::new(plan.expand().0), echo),
+        Request::Stats(echo) => ParsedLine::Stats(echo),
+    })
+}
+
+/// [`parse_line`] without the expansion: every check, in the same order
+/// and with the same messages, but a seeded placement stays undrawn.
+pub(crate) fn parse_request(text: &str) -> Result<Request, ParseError> {
     let v: Value = serde_json::from_str(text).map_err(|e| bad(&None, format!("bad JSON: {e}")))?;
     if v.as_object().is_none() {
         return Err(bad(&None, "request must be a JSON object"));
@@ -122,7 +195,7 @@ pub fn parse_line(text: &str) -> Result<ParsedLine, ParseError> {
     let echo = v.get("id").cloned();
     if let Some(s) = v.get("stats") {
         return match s {
-            Value::Bool(true) => Ok(ParsedLine::Stats(echo)),
+            Value::Bool(true) => Ok(Request::Stats(echo)),
             _ => Err(bad(&echo, "'stats' must be true")),
         };
     }
@@ -163,7 +236,7 @@ pub fn parse_line(text: &str) -> Result<ParsedLine, ParseError> {
         }
         _ => return Err(bad(&echo, "'hold' and 'end' must be given together")),
     };
-    let members = match (v.get("members"), v.get("k")) {
+    let plan = match (v.get("members"), v.get("k")) {
         (Some(_), Some(_)) => {
             return Err(bad(&echo, "give either 'members' or 'k', not both"));
         }
@@ -188,7 +261,13 @@ pub fn parse_line(text: &str) -> Result<ParsedLine, ParseError> {
             if sorted.len() != members.len() {
                 return Err(bad(&echo, "'members' must be distinct"));
             }
-            members
+            Unexpanded::Members(PlanRequest {
+                topo,
+                algorithm,
+                members,
+                bytes,
+                params,
+            })
         }
         (None, Some(k)) => {
             let k = u64_member(k, &echo, "k")? as usize;
@@ -202,7 +281,18 @@ pub fn parse_line(text: &str) -> Result<ParsedLine, ParseError> {
                 None => DEFAULT_SEED,
                 Some(s) => u64_member(s, &echo, "seed")?,
             };
-            random_placement(spec.nodes, k, seed)
+            let key = SeededKey {
+                topo,
+                algorithm,
+                bytes,
+                k,
+                seed,
+                params,
+            };
+            Unexpanded::Seeded {
+                key,
+                nodes: spec.nodes,
+            }
         }
         (None, None) => {
             return Err(bad(
@@ -211,19 +301,15 @@ pub fn parse_line(text: &str) -> Result<ParsedLine, ParseError> {
             ));
         }
     };
-    if members.len() < 2 {
+    // A seeded placement has exactly k members.
+    let members = match &plan {
+        Unexpanded::Members(request) => request.members.len(),
+        Unexpanded::Seeded { key, .. } => key.k,
+    };
+    if members < 2 {
         return Err(bad(&echo, "a multicast needs at least 2 members"));
     }
-    Ok(ParsedLine::Plan(
-        Box::new(PlanRequest {
-            topo,
-            algorithm,
-            members,
-            bytes,
-            params,
-        }),
-        echo,
-    ))
+    Ok(Request::Plan(plan, echo))
 }
 
 #[cfg(test)]
@@ -244,27 +330,6 @@ mod tests {
         assert_eq!(req.members, vec![NodeId(3), NodeId(0), NodeId(9)]);
         assert_eq!(req.params, None);
         assert_eq!(req.key(), "plan|mesh:4x4|u-arch|b512|m3,0,9|auto");
-    }
-
-    #[test]
-    fn seeded_placement_matches_explicit_members() {
-        let seeded = parse_line(r#"{"topo": "mesh:4x4", "k": 4, "seed": 9}"#).unwrap();
-        let ParsedLine::Plan(req, _) = seeded else {
-            panic!("expected a plan request");
-        };
-        let members: Vec<u64> = req.members.iter().map(|n| u64::from(n.0)).collect();
-        let explicit = format!(
-            r#"{{"topo": "mesh:4x4", "members": [{}]}}"#,
-            members
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let ParsedLine::Plan(req2, _) = parse_line(&explicit).unwrap() else {
-            panic!("expected a plan request");
-        };
-        assert_eq!(req.key(), req2.key(), "expansion happens before keying");
     }
 
     #[test]

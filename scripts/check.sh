@@ -88,14 +88,18 @@ cargo run --release -q -p optmc-bench --bin bench_sim
 
 # Planning-service smoke: a scripted request batch served twice must answer
 # byte-identically (replay determinism through the full stdin/stdout shell),
-# with the repeats answered from the plan cache.
+# with the repeats answered from the plan cache: request 5 spells request
+# 1's seeded placement out as explicit members and must hit its entry, and
+# request 6 (k = 1) must be refused.
 echo "==> optmc serve answers a scripted batch deterministically"
 cat > "$SMOKE_DIR/serve_batch.jsonl" <<'EOF'
 {"id": 1, "topo": "mesh:8x8", "k": 8, "seed": 1, "bytes": 2048}
 {"id": 2, "topo": "mesh:8x8", "k": 8, "seed": 1, "bytes": 2048}
 {"id": 3, "topo": "bmin:64", "alg": "u-arch", "k": 6, "seed": 2, "bytes": 1024}
 {"id": 4, "topo": "mesh:8x8", "k": 8, "seed": 1, "bytes": 2048}
-{"id": 5, "stats": true}
+{"id": 5, "topo": "mesh:8x8", "members": [32, 8, 39, 63, 61, 37, 31, 27], "bytes": 2048}
+{"id": 6, "topo": "mesh:8x8", "k": 1}
+{"id": 7, "stats": true}
 EOF
 cargo run --release -q -p optmc-cli --bin optmc -- \
     serve --quiet --telemetry-out "$SMOKE_DIR/plansvc_telem.json" \
@@ -104,7 +108,7 @@ cargo run --release -q -p optmc-cli --bin optmc -- \
     serve --quiet < "$SMOKE_DIR/serve_batch.jsonl" > "$SMOKE_DIR/serve_b.jsonl"
 cmp "$SMOKE_DIR/serve_a.jsonl" "$SMOKE_DIR/serve_b.jsonl" \
     || { echo "optmc serve responses are not replay-deterministic" >&2; exit 1; }
-grep -F '"hits":2' "$SMOKE_DIR/serve_a.jsonl" >/dev/null \
+grep -F '"hits":3' "$SMOKE_DIR/serve_a.jsonl" >/dev/null \
     || { echo "optmc serve did not answer the repeats from the plan cache" >&2; exit 1; }
 test -s "$SMOKE_DIR/plansvc_telem.json" \
     || { echo "optmc serve --telemetry-out wrote nothing" >&2; exit 1; }

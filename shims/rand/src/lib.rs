@@ -43,10 +43,12 @@ macro_rules! impl_sample_uniform {
         impl SampleUniform for $t {
             fn sample(rng: &mut dyn FnMut() -> u64, range: Range<Self>) -> Self {
                 assert!(range.start < range.end, "gen_range on an empty range");
-                let span = (range.end as i128 - range.start as i128) as u128;
-                // Modulo bias is < 2^-64 per draw for the spans used here.
-                let off = (rng() as u128 % span) as i128;
-                (range.start as i128 + off) as $t
+                // Every span of these types is in 1..2^64, so the wrapping
+                // difference of the sign-extended bounds is exact and the
+                // sample needs no wider arithmetic.  Modulo bias is < 2^-64
+                // per draw for the spans used here.
+                let span = (range.end as u64).wrapping_sub(range.start as u64);
+                (range.start as u64).wrapping_add(rng() % span) as $t
             }
         }
     )*};
@@ -157,6 +159,61 @@ mod tests {
             let w = r.gen_range(-5i64..5);
             assert!((-5..5).contains(&w));
         }
+    }
+
+    /// The sampler before it dropped to 64-bit arithmetic.
+    fn sample_128(draw: u64, start: i128, end: i128) -> i128 {
+        let span = (end - start) as u128;
+        start + (draw as u128 % span) as i128
+    }
+
+    #[test]
+    fn sampling_matches_the_128_bit_formula() {
+        let mut r = rngs::StdRng::seed_from_u64(97);
+        let mut draws: Vec<u64> = vec![0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        draws.extend((0..200).map(|_| r.next_u64()));
+        macro_rules! check {
+            ($t:ty, $($range:expr),*) => {$(
+                let range: Range<$t> = $range;
+                for &d in &draws {
+                    let got = <$t>::sample(&mut || d, range.clone());
+                    let want = sample_128(d, range.start as i128, range.end as i128);
+                    assert_eq!(got as i128, want, "{} {range:?} draw {d}", stringify!($t));
+                }
+            )*};
+        }
+        // Random spans, wide and narrow, of every type.
+        macro_rules! check_random {
+            ($($t:ty),*) => {$(
+                for _ in 0..50 {
+                    let (a, b) = (r.next_u64() as $t, r.next_u64() as $t);
+                    let narrow = a.saturating_add(1 + (r.next_u64() % 64) as $t);
+                    if a != b {
+                        check!($t, a.min(b)..a.max(b));
+                    }
+                    if a != narrow {
+                        check!($t, a..narrow);
+                    }
+                }
+            )*};
+        }
+        check_random!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+        check!(u64, 0..u64::MAX, u64::MAX - 1..u64::MAX, 0..1);
+        check!(
+            i64,
+            i64::MIN..i64::MAX,
+            i64::MIN..i64::MIN + 1,
+            -1..0,
+            -5..5
+        );
+        check!(u8, 0..u8::MAX, 200..201);
+        check!(i8, i8::MIN..i8::MAX, -128..-127, -1..1);
+        check!(u16, 0..u16::MAX);
+        check!(i16, i16::MIN..i16::MAX);
+        check!(u32, 0..u32::MAX);
+        check!(i32, i32::MIN..i32::MAX);
+        check!(usize, 0..usize::MAX, 0..1025);
+        check!(isize, isize::MIN..isize::MAX);
     }
 
     #[test]
