@@ -22,7 +22,7 @@
 use std::collections::VecDeque;
 
 use pcm::Time;
-use topo::{ChannelId, NetworkGraph, NodeId, Topology};
+use topo::{ChannelId, Hop, NetworkGraph, NodeId, RouterId, Topology};
 
 use crate::config::SimConfig;
 use crate::equeue::{EventQueue, ENTRY_BYTES};
@@ -45,6 +45,9 @@ struct Worm<P> {
     flits: u64,
     payload: Option<P>,
     path: Vec<ChannelId>,
+    /// The router the head sits at once the path is non-empty, as the
+    /// routing call that chose its last channel named it.
+    at: RouterId,
     /// First path index not yet released.
     release_ptr: usize,
     initiated: Time,
@@ -172,7 +175,7 @@ pub struct Engine<'t, Prog: Program> {
     queue: EventQueue,
     /// Scratch for `candidates()` — reused across events so a steady-state
     /// step allocates nothing.
-    cand_scratch: Vec<ChannelId>,
+    cand_scratch: Vec<Hop>,
     finish: Time,
     messages: Vec<MessageRecord>,
     blocked_cycles: Time,
@@ -524,6 +527,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             worm.flits = flits;
             worm.payload = Some(req.payload);
             worm.path.clear();
+            worm.at = RouterId(u32::MAX);
             worm.release_ptr = 0;
             worm.initiated = t;
             worm.injected = 0;
@@ -546,6 +550,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 flits,
                 payload: Some(req.payload),
                 path,
+                at: RouterId(u32::MAX),
                 release_ptr: 0,
                 initiated: t,
                 injected: 0,
@@ -569,23 +574,19 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         self.schedule(t + t_send, Event::WormStart(w));
     }
 
-    /// Candidate channels for the worm's next hop, via the topology's
+    /// Candidate hops for the worm's next move, via the topology's
     /// closed-form routing function (one virtual call per hop).
-    fn candidates(&self, w: u32, out: &mut Vec<ChannelId>) {
+    fn candidates(&self, w: u32, out: &mut Vec<Hop>) {
         let worm = &self.worms[w as usize];
-        match worm.path.last() {
+        if worm.path.is_empty() {
             // All NI ports are candidates (one in the one-port
             // architecture); port choice is not subject to cfg.adaptive.
-            None => out.extend_from_slice(self.graph.injections(worm.src)),
-            Some(&c) => {
-                let r = self
-                    .graph
-                    .dst_router(c)
-                    .expect("climbing worm sits at a router");
-                self.topo.route_candidates(r, worm.src, worm.dest, out);
-                if !self.cfg.adaptive {
-                    out.truncate(1);
-                }
+            out.extend(self.graph.injection_hops(worm.src));
+        } else {
+            self.topo
+                .route_candidates(worm.at, worm.src, worm.dest, out);
+            if !self.cfg.adaptive {
+                out.truncate(1);
             }
         }
     }
@@ -601,7 +602,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         let free = cand
             .iter()
             .copied()
-            .find(|c| self.channels[c.idx()].is_free(t));
+            .find(|h| self.channels[h.channel.idx()].is_free(t));
         match free {
             None => {
                 // Blocked: remember when, wait on every candidate.
@@ -609,10 +610,10 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 let generation = worm.generation;
                 if worm.block_start.is_none() {
                     worm.block_start = Some(t);
-                    let first = cand.first().copied();
+                    let first = cand.first().map(|h| h.channel);
                     self.obs.on_blocked(t, w, first);
                 }
-                for &c in &cand {
+                for &Hop { channel: c, .. } in &cand {
                     let ch = &mut self.channels[c.idx()];
                     if ch.waiters == NO_WAITERS {
                         ch.waiters = self.waiters.len() as u32;
@@ -630,26 +631,25 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                     }
                 }
             }
-            Some(c) => {
+            Some(hop) => {
                 // A previously blocked worm left waiter entries on *every*
                 // candidate; purge them so no candidate released later
                 // schedules a spurious same-generation retry (which would
                 // advance the worm a second time at that instant).
                 if self.worms[w as usize].block_start.is_some() {
-                    for &cc in &cand {
-                        let list = self.channels[cc.idx()].waiters as usize;
+                    for h in &cand {
+                        let list = self.channels[h.channel.idx()].waiters as usize;
                         self.waiters[list].retain(|&(ww, _)| ww != w);
                     }
                 }
-                self.acquire(w, c, t);
+                self.acquire(w, hop, t);
             }
         }
         self.cand_scratch = cand;
     }
 
-    fn acquire(&mut self, w: u32, c: ChannelId, t: Time) {
-        let g = self.graph;
-        let dest = self.worms[w as usize].dest;
+    fn acquire(&mut self, w: u32, hop: Hop, t: Time) {
+        let c = hop.channel;
         self.acquires += 1;
         let tel = &mut self.telemetry[c.idx()];
         if tel.acquires == 0 {
@@ -680,6 +680,9 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             worm.injected = t;
         }
         worm.path.push(c);
+        if let Some(r) = hop.next {
+            worm.at = r;
+        }
         let i = worm.path.len() - 1;
         // With B-deep buffers the worm compresses into ceil(L/B) channels;
         // the tail leaves channel i - span when the head takes channel i.
@@ -699,8 +702,13 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             self.release_at(rel.0, t);
         }
         let rd = self.cfg.router_delay;
-        if g.dst_node(c) == Some(dest) {
+        if hop.next.is_none() {
             // Head reached the consumption channel: drain.
+            debug_assert_eq!(
+                self.graph.dst_node(c),
+                Some(self.worms[w as usize].dest),
+                "routing consumed at the wrong node"
+            );
             self.obs.on_drain_start(t, w, c);
             let worm = &mut self.worms[w as usize];
             worm.phase = Phase::Draining;

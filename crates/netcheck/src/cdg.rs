@@ -18,7 +18,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use topo::{ChannelId, NodeId, Topology};
+use topo::{ChannelId, Hop, NodeId, Topology};
 
 /// The result of a CDG analysis.
 #[derive(Debug, Clone)]
@@ -49,8 +49,8 @@ pub(crate) fn build_edges(topo: &dyn Topology) -> HashSet<(u32, u32)> {
     // Per-pair visited set, generation-stamped to avoid reallocation.
     let mut stamp = vec![0u32; nc];
     let mut generation = 0u32;
-    let mut queue: Vec<ChannelId> = Vec::new();
-    let mut cand: Vec<ChannelId> = Vec::new();
+    let mut queue: Vec<Hop> = Vec::new();
+    let mut cand: Vec<Hop> = Vec::new();
     for s in 0..n as u32 {
         for d in 0..n as u32 {
             if s == d {
@@ -58,20 +58,20 @@ pub(crate) fn build_edges(topo: &dyn Topology) -> HashSet<(u32, u32)> {
             }
             generation += 1;
             queue.clear();
-            for &inj in g.injections(NodeId(s)) {
-                stamp[inj.idx()] = generation;
+            for inj in g.injection_hops(NodeId(s)) {
+                stamp[inj.channel.idx()] = generation;
                 queue.push(inj);
             }
-            while let Some(c) = queue.pop() {
-                let Some(r) = g.dst_router(c) else {
+            while let Some(hop) = queue.pop() {
+                let Some(r) = hop.next else {
                     continue; // consumption channels are sinks
                 };
                 cand.clear();
                 topo.route_candidates(r, NodeId(s), NodeId(d), &mut cand);
                 for &next in &cand {
-                    edges.insert((c.0, next.0));
-                    if stamp[next.idx()] != generation {
-                        stamp[next.idx()] = generation;
+                    edges.insert((hop.channel.0, next.channel.0));
+                    if stamp[next.channel.idx()] != generation {
+                        stamp[next.channel.idx()] = generation;
                         queue.push(next);
                     }
                 }

@@ -99,7 +99,6 @@ impl Validator {
         let nc = graph.n_channels();
         let inj_node: Vec<Option<u32>> = graph
             .channels()
-            .iter()
             .map(|ch| match ch.src {
                 Endpoint::Node(n) => Some(n.0),
                 Endpoint::Router(_) => None,
@@ -256,7 +255,6 @@ mod tests {
         let ch = m
             .graph()
             .channels()
-            .iter()
             .position(|c| matches!(c.src, Endpoint::Router(_)))
             .map(|i| Some(ChannelId(i as u32)))
             .expect("mesh has router channels");

@@ -177,14 +177,33 @@ pub fn check_schedule_windowed(
 /// windows never conflict.  Conflicts come back sorted by overlap start,
 /// then by send pair.
 pub fn scan_windows(windows: &[ChannelWindow]) -> Vec<WindowConflict> {
-    // Group windows per channel, then scan each group pairwise (groups are
-    // tiny: a channel is shared by at most a handful of sends).
-    let mut sorted = windows.to_vec();
-    sorted.sort_by_key(|w| (w.channel.0, w.acquire, w.mcast, w.send));
+    // Group windows per channel by sorting `(channel << 32) | index` keys,
+    // not the windows themselves, then order each group (tiny: a channel
+    // is shared by at most a handful of sends) by acquire time and send,
+    // the index breaking ties as a stable sort would, and scan it pairwise.
+    assert!(
+        u32::try_from(windows.len()).is_ok(),
+        "window indices must fit in 32 bits"
+    );
+    let mut keys: Vec<u64> = windows
+        .iter()
+        .enumerate()
+        .map(|(i, w)| (u64::from(w.channel.0) << 32) | i as u64)
+        .collect();
+    keys.sort_unstable();
+    let window = |key: u64| &windows[key as u32 as usize];
     let mut conflicts = Vec::new();
-    for group in sorted.chunk_by(|a, b| a.channel == b.channel) {
-        for (i, a) in group.iter().enumerate() {
-            for b in &group[i + 1..] {
+    for group in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+        if group.len() < 2 {
+            continue;
+        }
+        group.sort_unstable_by_key(|&k| {
+            let w = window(k);
+            (w.acquire, w.mcast, w.send, k)
+        });
+        for (i, &ka) in group.iter().enumerate() {
+            let a = window(ka);
+            for b in group[i + 1..].iter().map(|&kb| window(kb)) {
                 if (a.mcast, a.send) == (b.mcast, b.send) {
                     continue; // a buggy path revisiting its own channel
                 }
@@ -417,6 +436,72 @@ mod tests {
                 (c[0].mcast_a, c[0].send_a, c[0].mcast_b, c[0].send_b),
                 (2, 3, 2, 4)
             );
+        }
+
+        /// The scan as it was before it sorted keys: copy the windows and
+        /// stably sort the copies by `(channel, acquire, mcast, send)`.
+        fn reference_scan(windows: &[ChannelWindow]) -> Vec<WindowConflict> {
+            let mut sorted = windows.to_vec();
+            sorted.sort_by_key(|w| (w.channel.0, w.acquire, w.mcast, w.send));
+            let mut conflicts = Vec::new();
+            for group in sorted.chunk_by(|a, b| a.channel == b.channel) {
+                for (i, a) in group.iter().enumerate() {
+                    for b in &group[i + 1..] {
+                        if (a.mcast, a.send) == (b.mcast, b.send) {
+                            continue;
+                        }
+                        let (from, until) = (a.acquire.max(b.acquire), a.release.min(b.release));
+                        if from < until {
+                            conflicts.push(WindowConflict {
+                                mcast_a: a.mcast,
+                                send_a: a.send,
+                                mcast_b: b.mcast,
+                                send_b: b.send,
+                                channel: a.channel,
+                                from,
+                                until,
+                            });
+                        }
+                    }
+                }
+            }
+            conflicts.sort_by_key(|c| (c.from, c.mcast_a, c.send_a, c.mcast_b, c.send_b));
+            conflicts
+        }
+
+        /// Random populations on a few shared channels, with acquire times
+        /// drawn from a narrow range so that ties are common, and
+        /// (mcast, send) pairs that repeat: the key sort must find the
+        /// same conflicts, in the same order, with the same a/b roles.
+        #[test]
+        fn key_sort_matches_the_reference_scan() {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut next = |bound: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % bound
+            };
+            let mut conflicted = 0;
+            for _ in 0..500 {
+                let len = next(40) as usize;
+                let windows: Vec<ChannelWindow> = (0..len)
+                    .map(|_| {
+                        let acquire = next(12) * 10;
+                        ChannelWindow {
+                            mcast: next(3) as usize,
+                            send: next(4) as usize,
+                            channel: ChannelId(next(5) as u32 * 1000),
+                            acquire,
+                            release: acquire + next(40),
+                        }
+                    })
+                    .collect();
+                let got = scan_windows(&windows);
+                assert_eq!(got, reference_scan(&windows), "{windows:?}");
+                conflicted += usize::from(!got.is_empty());
+            }
+            assert!(conflicted > 100, "only {conflicted} populations conflicted");
         }
 
         #[test]

@@ -24,7 +24,7 @@
 //! preferred port; the simulator may fall back to the alternative when the
 //! preferred channel is busy (adaptive up-phase).
 
-use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
+use crate::graph::{ChannelId, Hop, Links, NetworkGraph, NodeId, RouterId};
 use crate::topology::Topology;
 
 /// Which up-port a climbing worm prefers (the first-listed routing
@@ -45,15 +45,74 @@ pub enum UpPolicy {
 /// A bidirectional MIN on `2^s` nodes built from 2×2 switches.
 #[derive(Debug, Clone)]
 pub struct Bmin {
-    s: u32,
+    links: BminLinks,
     graph: NetworkGraph,
-    /// `up[(ℓ * W + r) * 2 + u]` — up channel from stage-`ℓ` switch `r`,
-    /// port `u` (only for `ℓ < s-1`).
-    up: Vec<ChannelId>,
-    /// `down[(ℓ * W + r) * 2 + c]` — down channel from stage-`ℓ` switch `r`,
-    /// port `c` (only for `ℓ >= 1`).
-    down: Vec<ChannelId>,
     policy: UpPolicy,
+}
+
+/// The BMIN's link numbering.  Stage-`ℓ` switch `p` (for `ℓ ∈ 1..s`) owns
+/// four links to its two children, by down-port `c`: up into it, then down
+/// out of it.  So the link pair between `p` and its child through `c` is
+/// `base + ((ℓ − 1) · W + p) · 4 + 2c`, plus 0 up or 1 down, with `W`
+/// switches per stage and router `(ℓ, r)` numbered `ℓ · W + r`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BminLinks {
+    /// Stages (address bits).
+    s: u32,
+    /// The first link id, after the `2n` port channels.
+    base: usize,
+}
+
+impl BminLinks {
+    /// Switches per stage.
+    fn width(self) -> usize {
+        1 << (self.s - 1)
+    }
+
+    fn router(self, l: usize, r: usize) -> RouterId {
+        RouterId(((l << (self.s - 1)) + r) as u32)
+    }
+
+    /// The link pair between stage-`l` switch `p` and its child through
+    /// down-port `c`: the up link's id (the down link's is one more).
+    fn pair(self, l: usize, p: usize, c: usize) -> usize {
+        self.base + (((l - 1) << (self.s - 1)) + p) * 4 + 2 * c
+    }
+
+    /// The up hop from stage-`l` switch `r` through up-port `u`.
+    fn up(self, l: usize, r: usize, u: usize) -> Hop {
+        // The parent keeps r's bits above ℓ and below ℓ, with u at bit ℓ;
+        // r's own bit ℓ is the parent's down-port back to it.
+        let parent = (r & !(1 << l)) | (u << l);
+        Hop {
+            channel: ChannelId(self.pair(l + 1, parent, (r >> l) & 1) as u32),
+            next: Some(self.router(l + 1, parent)),
+        }
+    }
+
+    /// The down hop from stage-`l` switch `p` (`l ≥ 1`) through port `c`.
+    fn down(self, l: usize, p: usize, c: usize) -> Hop {
+        Hop {
+            channel: ChannelId((self.pair(l, p, c) + 1) as u32),
+            next: Some(self.router(l - 1, child_index(l, p, c))),
+        }
+    }
+
+    pub(crate) fn count(self) -> usize {
+        (self.s as usize - 1) * self.width() * 4
+    }
+
+    pub(crate) fn ends(self, off: usize) -> (RouterId, RouterId) {
+        let (down, c, q) = (off & 1, (off >> 1) & 1, off >> 2);
+        let (l, p) = ((q >> (self.s - 1)) + 1, q & (self.width() - 1));
+        let parent = self.router(l, p);
+        let child = self.router(l - 1, child_index(l, p, c));
+        if down == 0 {
+            (child, parent)
+        } else {
+            (parent, child)
+        }
+    }
 }
 
 impl Bmin {
@@ -69,39 +128,17 @@ impl Bmin {
             "s={s} out of the sensible range 1..=20"
         );
         let n = 1usize << s;
-        let w = n / 2; // switches per stage
-        let stages = s as usize;
-        let mut b = NetworkGraph::builder(n, stages * w);
-        let router = |l: usize, r: usize| RouterId((l * w + r) as u32);
-        for node in 0..n {
-            b.injection(NodeId(node as u32), router(0, node >> 1));
-            b.consumption(NodeId(node as u32), router(0, node >> 1));
-        }
-        let invalid = ChannelId(u32::MAX);
-        let mut up = vec![invalid; stages * w * 2];
-        let mut down = vec![invalid; stages * w * 2];
-        for l in 1..stages {
-            for p in 0..w {
-                for c in 0..2usize {
-                    let child = child_index(l, p, c);
-                    let u = (p >> (l - 1)) & 1;
-                    up[((l - 1) * w + child) * 2 + u] = b.link(router(l - 1, child), router(l, p));
-                    down[(l * w + p) * 2 + c] = b.link(router(l, p), router(l - 1, child));
-                }
-            }
-        }
+        let links = BminLinks { s, base: 2 * n };
         Self {
-            s,
-            graph: b.build(),
-            up,
-            down,
+            graph: NetworkGraph::new(n, s as usize * n / 2, 1, Links::Bmin(links)),
+            links,
             policy,
         }
     }
 
     /// Number of address bits / stages.
     pub fn stages(&self) -> u32 {
-        self.s
+        self.links.s
     }
 
     /// The up-port preference policy.
@@ -109,15 +146,10 @@ impl Bmin {
         self.policy
     }
 
-    /// Switches per stage.
-    fn width(&self) -> usize {
-        self.graph.n_nodes() / 2
-    }
-
     /// Decompose a router id into (stage, switch index).
     pub fn stage_of(&self, r: RouterId) -> (usize, usize) {
         // A stage holds 2^(s-1) switches.
-        let half = self.s - 1;
+        let half = self.links.s - 1;
         (r.idx() >> half, r.idx() & ((1 << half) - 1))
     }
 
@@ -134,26 +166,6 @@ impl Bmin {
         assert_ne!(x, y);
         31 - (x.0 ^ y.0).leading_zeros()
     }
-
-    fn up_channel(&self, l: usize, r: usize, u: usize) -> ChannelId {
-        let c = self.up[(l * self.width() + r) * 2 + u];
-        debug_assert_ne!(
-            c.0,
-            u32::MAX,
-            "no up channel at stage {l} switch {r} port {u}"
-        );
-        c
-    }
-
-    fn down_channel(&self, l: usize, r: usize, c: usize) -> ChannelId {
-        let ch = self.down[(l * self.width() + r) * 2 + c];
-        debug_assert_ne!(
-            ch.0,
-            u32::MAX,
-            "no down channel at stage {l} switch {r} port {c}"
-        );
-        ch
-    }
 }
 
 /// Child of stage-`l` switch `p` through down-port `c` (at stage `l-1`).
@@ -168,7 +180,7 @@ impl Topology for Bmin {
         &self.graph
     }
 
-    fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
+    fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<Hop>) {
         let (l, idx) = self.stage_of(r);
         // `dest` is in the switch's block iff it agrees with the switch in
         // the address bits above ℓ (see [`Bmin::block_of`]).
@@ -176,9 +188,9 @@ impl Topology for Bmin {
             // Down phase (deterministic): port = δ_l(dest); at stage 0 that
             // is the consumption channel.
             if l == 0 {
-                out.extend_from_slice(self.graph.consumptions(dest));
+                out.extend(self.graph.consumption_hops(dest));
             } else {
-                out.push(self.down_channel(l, idx, (dest.idx() >> l) & 1));
+                out.push(self.links.down(l, idx, (dest.idx() >> l) & 1));
             }
         } else {
             // Up phase: preferred port per policy, other port as fallback.
@@ -186,8 +198,8 @@ impl Topology for Bmin {
                 UpPolicy::Straight => (src.idx() >> (l + 1)) & 1,
                 UpPolicy::DestColumn => (dest.idx() >> (l + 1)) & 1,
             };
-            out.push(self.up_channel(l, idx, pref));
-            out.push(self.up_channel(l, idx, 1 - pref));
+            out.push(self.links.up(l, idx, pref));
+            out.push(self.links.up(l, idx, 1 - pref));
         }
     }
 
@@ -320,8 +332,9 @@ mod tests {
         let mut cand = Vec::new();
         b.route_candidates(r, NodeId(6), NodeId(0), &mut cand);
         assert_eq!(cand.len(), 2, "two up candidates while climbing");
-        for c in cand {
-            let parent = b.graph().dst_router(c).unwrap();
+        for hop in cand {
+            let parent = hop.next.unwrap();
+            assert_eq!(b.graph().dst_router(hop.channel), Some(parent));
             let blk = b.block_of(parent);
             assert!(blk.contains(&6) && blk.contains(&7), "parent block {blk:?}");
         }

@@ -4,6 +4,9 @@
 //! an injection port (NI → router) or a consumption port (router → NI).  The
 //! one-port architecture of the paper's experiments falls out naturally: each
 //! node owns exactly one injection and one consumption channel.
+//!
+//! Every family numbers its channels in closed form, so the graph is its
+//! shape and nothing more: ids are computed, never looked up.
 
 use serde::{Deserialize, Serialize};
 
@@ -58,44 +61,103 @@ pub struct Channel {
     pub dst: Endpoint,
 }
 
-/// An immutable directed-channel graph.  Built once by a topology
-/// constructor; the simulator and checkers only read it.
+/// One routing choice: a channel and the router it delivers into.
+///
+/// [`crate::Topology::route_candidates`] hands these out, so a worm learns
+/// where a hop leads from the routing call itself and never decodes a
+/// channel id on its way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop {
+    /// The channel to acquire.
+    pub channel: ChannelId,
+    /// The router `channel` delivers into, or `None` for a consumption
+    /// channel (which delivers into its node).
+    pub next: Option<RouterId>,
+}
+
+/// How a family numbers its router-to-router links.  Each family's own
+/// module holds both directions of its numbering: the id of a link from its
+/// position (used by routing) and the position from an id (used here).
+#[derive(Debug, Clone)]
+pub(crate) enum Links {
+    Mesh(crate::mesh::MeshLinks),
+    Torus(crate::torus::TorusLinks),
+    Bmin(crate::bmin::BminLinks),
+    Omega(crate::omega::OmegaLinks),
+}
+
+impl Links {
+    /// Number of links.
+    fn count(&self) -> usize {
+        match self {
+            Links::Mesh(l) => l.count(),
+            Links::Torus(l) => l.count(),
+            Links::Bmin(l) => l.count(),
+            Links::Omega(l) => l.count(),
+        }
+    }
+
+    /// `(from, to)` routers of the link at offset `off` past the port
+    /// channels.
+    fn ends(&self, off: usize) -> (RouterId, RouterId) {
+        match self {
+            Links::Mesh(l) => l.ends(off),
+            Links::Torus(l) => l.ends(off),
+            Links::Bmin(l) => l.ends(off),
+            Links::Omega(l) => l.ends(off),
+        }
+    }
+
+    /// The router node `n`'s injection (or consumption) channels attach to:
+    /// its own router in a direct network, the stage-0 switch `n / 2` of a
+    /// BMIN.
+    fn port_router(&self, n: NodeId, consumption: bool) -> RouterId {
+        match self {
+            Links::Mesh(_) | Links::Torus(_) => RouterId(n.0),
+            Links::Bmin(_) => RouterId(n.0 >> 1),
+            Links::Omega(l) => l.port_router(n, consumption),
+        }
+    }
+}
+
+/// An immutable directed-channel graph, numbered by arithmetic on the
+/// network's shape: it stores the shape, never a per-channel table, so
+/// building one costs O(dimensions) at any network size (a mesh adds one
+/// link prefix per router).
 ///
 /// A node owns one or more injection channels (NI → router) and the same
 /// number of consumption channels: the paper's experiments use the one-port
 /// architecture (exactly one of each), while the multi-port ablation gives
 /// every node several.
 ///
-/// Port channels are stored flat and node-major: node `n` owns entries
-/// `n * ports .. (n + 1) * ports` of each port array, in the order the
-/// builder added them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The numbering (DESIGN.md §11, "Port layout"): the `2 · n · ports` port
+/// channels come first, node-major, port `p` of node `i` as injection
+/// `2(i · ports + p)` and consumption `2(i · ports + p) + 1`; the family's
+/// router-to-router links follow.
+#[derive(Debug, Clone)]
 pub struct NetworkGraph {
     n_nodes: usize,
     n_routers: usize,
-    channels: Vec<Channel>,
     /// NI ports per node: uniform, at least one.
     ports: usize,
-    /// Injection channels (NI → router), `ports` per node.
-    injection: Vec<ChannelId>,
-    /// Consumption channels (router → NI), `ports` per node.
-    consumption: Vec<ChannelId>,
+    links: Links,
 }
 
 impl NetworkGraph {
-    /// Start building a graph with `n_nodes` nodes and `n_routers` routers.
-    pub fn builder(n_nodes: usize, n_routers: usize) -> NetworkGraphBuilder {
-        NetworkGraphBuilder {
+    /// A graph of `n_nodes` nodes with `ports` NI ports each, whose
+    /// routers and links `links` numbers.
+    pub(crate) fn new(n_nodes: usize, n_routers: usize, ports: usize, links: Links) -> Self {
+        let g = Self {
             n_nodes,
             n_routers,
-            channels: Vec::new(),
-            injection: Vec::with_capacity(n_nodes),
-            consumption: Vec::with_capacity(n_nodes),
-        }
-    }
-
-    fn port_range(&self, n: NodeId) -> std::ops::Range<usize> {
-        n.idx() * self.ports..(n.idx() + 1) * self.ports
+            ports,
+            links,
+        };
+        assert!(
+            u32::try_from(g.n_channels()).is_ok(),
+            "channel ids must fit in 32 bits"
+        );
+        g
     }
 
     /// Number of nodes.
@@ -108,37 +170,75 @@ impl NetworkGraph {
         self.n_routers
     }
 
-    /// Number of channels.
-    pub fn n_channels(&self) -> usize {
-        self.channels.len()
+    /// Number of port channels, which take the ids below the links.
+    fn port_channels(&self) -> usize {
+        2 * self.n_nodes * self.ports
     }
 
-    /// Look up a channel.
+    /// Number of channels.
+    pub fn n_channels(&self) -> usize {
+        self.port_channels() + self.links.count()
+    }
+
+    /// Decode a channel id into its endpoints.
     ///
     /// # Panics
     /// If the id is out of range.
     pub fn channel(&self, c: ChannelId) -> Channel {
-        self.channels[c.idx()]
+        assert!(c.idx() < self.n_channels(), "channel {} out of range", c.0);
+        if c.idx() < self.port_channels() {
+            let n = NodeId((c.idx() / (2 * self.ports)) as u32);
+            let consumption = c.0 & 1 == 1;
+            let node = Endpoint::Node(n);
+            let router = Endpoint::Router(self.links.port_router(n, consumption));
+            let (src, dst) = if consumption {
+                (router, node)
+            } else {
+                (node, router)
+            };
+            Channel { src, dst }
+        } else {
+            let (from, to) = self.links.ends(c.idx() - self.port_channels());
+            Channel {
+                src: Endpoint::Router(from),
+                dst: Endpoint::Router(to),
+            }
+        }
     }
 
     /// The primary injection channel (NI → router) of `n`.
     pub fn injection(&self, n: NodeId) -> ChannelId {
-        self.injection[n.idx() * self.ports]
+        ChannelId((2 * n.idx() * self.ports) as u32)
     }
 
     /// All injection channels of `n` (one in the one-port architecture).
-    pub fn injections(&self, n: NodeId) -> &[ChannelId] {
-        &self.injection[self.port_range(n)]
+    pub fn injections(&self, n: NodeId) -> impl ExactSizeIterator<Item = ChannelId> {
+        let first = self.injection(n).0;
+        (0..self.ports as u32).map(move |p| ChannelId(first + 2 * p))
+    }
+
+    /// `n`'s injection channels as hops into its router.
+    pub fn injection_hops(&self, n: NodeId) -> impl ExactSizeIterator<Item = Hop> {
+        let next = Some(self.links.port_router(n, false));
+        self.injections(n).map(move |channel| Hop { channel, next })
     }
 
     /// The primary consumption channel (router → NI) of `n`.
     pub fn consumption(&self, n: NodeId) -> ChannelId {
-        self.consumption[n.idx() * self.ports]
+        ChannelId(self.injection(n).0 + 1)
     }
 
     /// All consumption channels of `n`.
-    pub fn consumptions(&self, n: NodeId) -> &[ChannelId] {
-        &self.consumption[self.port_range(n)]
+    pub fn consumptions(&self, n: NodeId) -> impl ExactSizeIterator<Item = ChannelId> {
+        self.injections(n).map(|c| ChannelId(c.0 + 1))
+    }
+
+    /// `n`'s consumption channels as the final hops of a route.
+    pub fn consumption_hops(&self, n: NodeId) -> impl ExactSizeIterator<Item = Hop> {
+        self.consumptions(n).map(|channel| Hop {
+            channel,
+            next: None,
+        })
     }
 
     /// The NI port count (uniform across nodes by construction).
@@ -163,109 +263,11 @@ impl NetworkGraph {
         }
     }
 
-    /// All channels (for analyses / statistics).
-    pub fn channels(&self) -> &[Channel] {
-        &self.channels
+    /// All channels in id order, decoded one by one (for analyses and
+    /// statistics).
+    pub fn channels(&self) -> impl ExactSizeIterator<Item = Channel> + '_ {
+        (0..self.n_channels() as u32).map(|c| self.channel(ChannelId(c)))
     }
-}
-
-/// Incremental builder for [`NetworkGraph`].
-pub struct NetworkGraphBuilder {
-    n_nodes: usize,
-    n_routers: usize,
-    channels: Vec<Channel>,
-    /// `(node, channel)` per injection port, in insertion order.
-    injection: Vec<(NodeId, ChannelId)>,
-    /// `(node, channel)` per consumption port, in insertion order.
-    consumption: Vec<(NodeId, ChannelId)>,
-}
-
-impl NetworkGraphBuilder {
-    /// Add a router→router channel, returning its id.
-    pub fn link(&mut self, from: RouterId, to: RouterId) -> ChannelId {
-        assert!(from.idx() < self.n_routers && to.idx() < self.n_routers);
-        self.push(Channel {
-            src: Endpoint::Router(from),
-            dst: Endpoint::Router(to),
-        })
-    }
-
-    /// Add an injection channel for node `n` into router `r` (call several
-    /// times for a multi-port NI).
-    pub fn injection(&mut self, n: NodeId, r: RouterId) -> ChannelId {
-        assert!(n.idx() < self.n_nodes, "node {} out of range", n.0);
-        let c = self.push(Channel {
-            src: Endpoint::Node(n),
-            dst: Endpoint::Router(r),
-        });
-        self.injection.push((n, c));
-        c
-    }
-
-    /// Add a consumption channel for node `n` from router `r`.
-    pub fn consumption(&mut self, n: NodeId, r: RouterId) -> ChannelId {
-        assert!(n.idx() < self.n_nodes, "node {} out of range", n.0);
-        let c = self.push(Channel {
-            src: Endpoint::Router(r),
-            dst: Endpoint::Node(n),
-        });
-        self.consumption.push((n, c));
-        c
-    }
-
-    fn push(&mut self, ch: Channel) -> ChannelId {
-        let id = ChannelId(self.channels.len() as u32);
-        self.channels.push(ch);
-        id
-    }
-
-    /// Finish building.
-    ///
-    /// # Panics
-    /// If any node lacks an injection or consumption channel, or port
-    /// counts differ across nodes.
-    pub fn build(self) -> NetworkGraph {
-        let (injection, ports) = node_major(self.n_nodes, self.injection, "an injection");
-        let (consumption, consumption_ports) =
-            node_major(self.n_nodes, self.consumption, "a consumption");
-        assert_eq!(
-            ports, consumption_ports,
-            "port count must be uniform across nodes"
-        );
-        NetworkGraph {
-            n_nodes: self.n_nodes,
-            n_routers: self.n_routers,
-            channels: self.channels,
-            ports,
-            injection,
-            consumption,
-        }
-    }
-}
-
-/// Flatten `(node, channel)` port pairs node-major, keeping each node's
-/// insertion order, and return them with the per-node port count.
-///
-/// # Panics
-/// If a node has no port, or port counts differ across nodes.
-fn node_major(
-    n_nodes: usize,
-    mut pairs: Vec<(NodeId, ChannelId)>,
-    kind: &str,
-) -> (Vec<ChannelId>, usize) {
-    // Stable, and linear on the node-ordered input every topology gives.
-    pairs.sort_by_key(|&(n, _)| n);
-    let ports = pairs.len() / n_nodes.max(1);
-    let mut next = pairs.iter().map(|&(n, _)| n.idx()).peekable();
-    for n in 0..n_nodes {
-        let mut count = 0;
-        while next.next_if_eq(&n).is_some() {
-            count += 1;
-        }
-        assert!(count > 0, "node {n} lacks {kind} channel");
-        assert_eq!(count, ports, "port count must be uniform across nodes");
-    }
-    (pairs.into_iter().map(|(_, c)| c).collect(), ports.max(1))
 }
 
 /// Do two channel paths share any channel?  Returns the first shared one.
@@ -277,100 +279,45 @@ pub fn shared_channel(a: &[ChannelId], b: &[ChannelId]) -> Option<ChannelId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny() -> NetworkGraph {
-        // Two nodes, two routers, one link each way.
-        let mut b = NetworkGraph::builder(2, 2);
-        b.injection(NodeId(0), RouterId(0));
-        b.consumption(NodeId(0), RouterId(0));
-        b.injection(NodeId(1), RouterId(1));
-        b.consumption(NodeId(1), RouterId(1));
-        b.link(RouterId(0), RouterId(1));
-        b.link(RouterId(1), RouterId(0));
-        b.build()
-    }
-
-    #[test]
-    fn builder_wires_ports() {
-        let g = tiny();
-        assert_eq!(g.n_channels(), 6);
-        assert_eq!(g.dst_router(g.injection(NodeId(0))), Some(RouterId(0)));
-        assert_eq!(g.dst_node(g.consumption(NodeId(1))), Some(NodeId(1)));
-        assert_eq!(g.dst_node(g.injection(NodeId(0))), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "lacks an injection")]
-    fn missing_port_panics() {
-        let mut b = NetworkGraph::builder(1, 1);
-        b.consumption(NodeId(0), RouterId(0));
-        b.build();
-    }
-
-    #[test]
-    #[should_panic(expected = "lacks a consumption")]
-    fn missing_consumption_panics() {
-        let mut b = NetworkGraph::builder(2, 1);
-        b.injection(NodeId(0), RouterId(0));
-        b.injection(NodeId(1), RouterId(0));
-        b.consumption(NodeId(1), RouterId(0));
-        b.build();
-    }
-
-    #[test]
-    #[should_panic(expected = "port count must be uniform")]
-    fn non_uniform_ports_panic() {
-        let mut b = NetworkGraph::builder(2, 1);
-        b.injection(NodeId(0), RouterId(0));
-        b.injection(NodeId(0), RouterId(0));
-        b.injection(NodeId(1), RouterId(0));
-        b.consumption(NodeId(0), RouterId(0));
-        b.consumption(NodeId(1), RouterId(0));
-        b.build();
-    }
+    use crate::{Mesh, Topology};
 
     #[test]
     fn ports_keep_insertion_order() {
-        use crate::Topology;
-        // A 3-port mesh adds (injection, consumption) pairs port by port,
-        // node by node, so node n's ports are channels 6n .. 6n + 5.
-        let mesh = crate::Mesh::with_ports(&[2, 2], 3);
+        // A 3-port mesh numbers (injection, consumption) pairs port by
+        // port, node by node, so node n's ports are channels 6n .. 6n + 5.
+        let mesh = Mesh::with_ports(&[2, 2], 3);
         let g = mesh.graph();
         assert_eq!(g.ports(), 3);
         for n in 0..4u32 {
             let ids = |first: u32| [first, first + 2, first + 4].map(ChannelId);
-            assert_eq!(g.injections(NodeId(n)), ids(6 * n));
-            assert_eq!(g.consumptions(NodeId(n)), ids(6 * n + 1));
+            assert!(g.injections(NodeId(n)).eq(ids(6 * n)));
+            assert!(g.consumptions(NodeId(n)).eq(ids(6 * n + 1)));
             assert_eq!(g.injection(NodeId(n)), ChannelId(6 * n));
             assert_eq!(g.consumption(NodeId(n)), ChannelId(6 * n + 1));
+            for c in g.injections(NodeId(n)) {
+                assert_eq!(g.dst_router(c), Some(RouterId(n)));
+                assert_eq!(g.dst_node(c), None);
+            }
+            for c in g.consumptions(NodeId(n)) {
+                assert_eq!(g.dst_node(c), Some(NodeId(n)));
+            }
         }
-        // Ports added out of node order land node-major, each node's in the
-        // order it was added.
-        let mut b = NetworkGraph::builder(2, 1);
-        let mut added = [[Vec::new(), Vec::new()], [Vec::new(), Vec::new()]];
-        for n in [1, 0, 0, 1] {
-            added[n][0].push(b.injection(NodeId(n as u32), RouterId(0)));
-            added[n][1].push(b.consumption(NodeId(n as u32), RouterId(0)));
-        }
-        let g = b.build();
-        for (n, [inj, cons]) in added.iter().enumerate() {
-            assert_eq!(g.injections(NodeId(n as u32)), inj.as_slice());
-            assert_eq!(g.consumptions(NodeId(n as u32)), cons.as_slice());
-        }
+        // The links follow the 24 port channels.
+        assert_eq!(g.n_channels(), 24 + 8);
+        assert_eq!(
+            g.channel(ChannelId(24)),
+            Channel {
+                src: Endpoint::Router(RouterId(0)),
+                dst: Endpoint::Router(RouterId(1)),
+            }
+        );
     }
 
     #[test]
-    fn multi_port_builder() {
-        let mut b = NetworkGraph::builder(1, 1);
-        b.injection(NodeId(0), RouterId(0));
-        b.injection(NodeId(0), RouterId(0));
-        b.consumption(NodeId(0), RouterId(0));
-        b.consumption(NodeId(0), RouterId(0));
-        let g = b.build();
-        assert_eq!(g.ports(), 2);
-        assert_eq!(g.injections(NodeId(0)).len(), 2);
-        assert_eq!(g.consumptions(NodeId(0)).len(), 2);
-        assert_eq!(g.injection(NodeId(0)), g.injections(NodeId(0))[0]);
+    #[should_panic(expected = "out of range")]
+    fn channel_past_the_end_panics() {
+        let g = Mesh::new(&[2]).graph().clone();
+        g.channel(ChannelId(g.n_channels() as u32));
     }
 
     #[test]

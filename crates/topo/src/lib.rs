@@ -16,7 +16,11 @@
 //! * [`graph::NetworkGraph`] — the directed-channel graph shared by all
 //!   topologies: every physical link, injection port and consumption port is
 //!   a *channel*, the unit of wormhole arbitration and hence of contention.
-//! * [`topology::Topology`] — the trait the simulator routes through.
+//!   Each family numbers its channels by arithmetic on its shape (the
+//!   numbering lives in the family's module), so a graph stores no table
+//!   and builds in O(dimensions) at any network size.
+//! * [`topology::Topology`] — the trait the simulator routes through; each
+//!   routing candidate is a [`graph::Hop`] that names the router it enters.
 //!
 //! Channels are the load-bearing abstraction: wormhole switching reserves
 //! whole channels for the duration of a worm's passage, so "two multicasts
@@ -48,7 +52,7 @@ pub mod torus;
 
 pub use bmin::{Bmin, UpPolicy};
 pub use chain::{Chain, ChainError};
-pub use graph::{Channel, ChannelId, Endpoint, NetworkGraph, NodeId, RouterId};
+pub use graph::{Channel, ChannelId, Endpoint, Hop, NetworkGraph, NodeId, RouterId};
 pub use mesh::Mesh;
 pub use omega::Omega;
 pub use topology::{RoutingError, Topology};

@@ -10,7 +10,9 @@
 //! pairing, and only that pairing, keeps disjoint chain intervals on
 //! disjoint channels).
 
-use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
+use std::sync::Arc;
+
+use crate::graph::{ChannelId, Hop, Links, NetworkGraph, NodeId, RouterId};
 use crate::topology::Topology;
 
 /// An n-dimensional mesh. Each node has a dedicated router; routers connect
@@ -19,10 +21,127 @@ use crate::topology::Topology;
 pub struct Mesh {
     dims: Vec<usize>,
     ports: usize,
+    links: MeshLinks,
     graph: NetworkGraph,
-    /// `links[(router * ndim + dim) * 2 + dir]`, `dir` 0 = toward higher
-    /// coordinate, 1 = toward lower.
-    links: Vec<Option<ChannelId>>,
+}
+
+/// The mesh's link numbering.  Router `r` numbers its links dimension by
+/// dimension, lowest first, toward the higher coordinate before the lower,
+/// omitting the links off the mesh edge, and the links of router `r` follow
+/// those of every lower router.  So link `(r, d, dir)` is
+/// `base + prefix(r) + local(r, d, dir)`, where `prefix(r)` counts the
+/// links of the routers below `r` (a closed form, DESIGN.md §11, "Port
+/// layout") and `local(r, d, dir)` those of `r` before it, which routing
+/// sums from the digits it decodes anyway.
+///
+/// `prefix` is kept as one `u32` per router: in the simulator's hop the
+/// closed form cost 7–8 % of `run()` on `mesh:16x16` against a lookup, and
+/// the table is the mesh's only state that grows with the network (4 bytes
+/// per router, filled in one pass).
+#[derive(Debug, Clone)]
+pub(crate) struct MeshLinks {
+    dims: Vec<Dim>,
+    /// `prefix(r)` for every router, then the link count; shared between
+    /// the mesh and its graph.
+    prefix: Arc<[u32]>,
+    /// The first link id: every node's port channels come first.
+    base: usize,
+}
+
+/// One dimension of a [`MeshLinks`].
+#[derive(Debug, Clone, Copy)]
+struct Dim {
+    /// Side length.
+    side: usize,
+    /// Index stride: the product of the lower sides.
+    stride: usize,
+}
+
+impl Dim {
+    /// Links a router with digit `c` has along this dimension.
+    fn degree(self, c: usize) -> u32 {
+        u32::from(c + 1 < self.side) + u32::from(c > 0)
+    }
+}
+
+impl MeshLinks {
+    fn new(sides: &[usize], ports: usize) -> Self {
+        let dims: Vec<Dim> = sides
+            .iter()
+            .zip(strides_of(sides))
+            .map(|(&side, stride)| Dim { side, stride })
+            .collect();
+        let n: usize = sides.iter().product();
+        let base = 2 * n * ports;
+        // Each dimension has (m − 1) · n / m links each way.
+        let links: usize = sides.iter().map(|&m| 2 * (m - 1) * (n / m)).sum();
+        assert!(
+            u32::try_from(base + links).is_ok(),
+            "channel ids must fit in 32 bits"
+        );
+        // An odometer over the router's digits keeps its degree, so each
+        // router costs O(1) amortized; a mapped range collects into the
+        // shared slice in one allocation.
+        let mut digits = vec![0; dims.len()];
+        let mut degree: u32 = dims.iter().map(|d| d.degree(0)).sum();
+        let mut off = 0;
+        let prefix: Arc<[u32]> = (0..n)
+            .map(|_| {
+                let below = off;
+                off += degree;
+                for (c, dim) in digits.iter_mut().zip(&dims) {
+                    degree -= dim.degree(*c);
+                    *c += 1;
+                    if *c < dim.side {
+                        degree += dim.degree(*c);
+                        break;
+                    }
+                    *c = 0;
+                    degree += dim.degree(0);
+                }
+                below
+            })
+            .chain(std::iter::once(links as u32))
+            .collect();
+        debug_assert_eq!(off as usize, links);
+        Self { dims, prefix, base }
+    }
+
+    /// The hop over link offset `off` into router `next`.
+    fn hop(&self, off: usize, next: usize) -> Hop {
+        Hop {
+            channel: ChannelId((self.base + off) as u32),
+            next: Some(RouterId(next as u32)),
+        }
+    }
+
+    pub(crate) fn count(&self) -> usize {
+        self.prefix[self.prefix.len() - 1] as usize
+    }
+
+    pub(crate) fn ends(&self, off: usize) -> (RouterId, RouterId) {
+        // The owning router is the last one whose links start at or
+        // before `off`.
+        let r = self.prefix.partition_point(|&p| p as usize <= off) - 1;
+        let mut k = off - self.prefix[r] as usize;
+        let link = |next: usize| (RouterId(r as u32), RouterId(next as u32));
+        for dim in &self.dims {
+            let c = r / dim.stride % dim.side;
+            if c + 1 < dim.side {
+                if k == 0 {
+                    return link(r + dim.stride);
+                }
+                k -= 1;
+            }
+            if c > 0 {
+                if k == 0 {
+                    return link(r - dim.stride);
+                }
+                k -= 1;
+            }
+        }
+        unreachable!("link offset {off} past router {r}'s links")
+    }
 }
 
 impl Mesh {
@@ -43,36 +162,12 @@ impl Mesh {
         assert!(!dims.is_empty(), "a mesh needs at least one dimension");
         assert!(dims.iter().all(|&m| m > 0), "side lengths must be positive");
         assert!(ports >= 1, "a node needs at least one NI port");
+        let links = MeshLinks::new(dims, ports);
         let n: usize = dims.iter().product();
-        let ndim = dims.len();
-        let mut b = NetworkGraph::builder(n, n);
-        for i in 0..n {
-            for _ in 0..ports {
-                b.injection(NodeId(i as u32), RouterId(i as u32));
-                b.consumption(NodeId(i as u32), RouterId(i as u32));
-            }
-        }
-        let mut links = vec![None; n * ndim * 2];
-        for r in 0..n {
-            // Neighbours along dimension d sit `stride` indices away.
-            let mut stride = 1;
-            for (d, &m) in dims.iter().enumerate() {
-                let c = r / stride % m;
-                if c + 1 < m {
-                    links[(r * ndim + d) * 2] =
-                        Some(b.link(RouterId(r as u32), RouterId((r + stride) as u32)));
-                }
-                if c > 0 {
-                    links[(r * ndim + d) * 2 + 1] =
-                        Some(b.link(RouterId(r as u32), RouterId((r - stride) as u32)));
-                }
-                stride *= m;
-            }
-        }
         Self {
             dims: dims.to_vec(),
             ports,
-            graph: b.build(),
+            graph: NetworkGraph::new(n, n, ports, Links::Mesh(links.clone())),
             links,
         }
     }
@@ -93,7 +188,7 @@ impl Mesh {
 
     /// Coordinates (digit string, `δ_0` first) of a node.
     pub fn coords(&self, n: NodeId) -> Vec<usize> {
-        coords_of(&self.dims, n.idx())
+        coords_of(self.dims(), n.idx())
     }
 
     /// Node at the given coordinates.
@@ -101,17 +196,23 @@ impl Mesh {
     /// # Panics
     /// If the coordinate count or any coordinate is out of range.
     pub fn node_at(&self, coords: &[usize]) -> NodeId {
-        assert_eq!(coords.len(), self.dims.len());
-        for (d, (&c, &m)) in coords.iter().zip(&self.dims).enumerate() {
+        assert_eq!(coords.len(), self.dims().len());
+        for (d, (&c, &m)) in coords.iter().zip(self.dims()).enumerate() {
             assert!(c < m, "coordinate {c} out of range in dimension {d}");
         }
-        NodeId(index_of(&self.dims, coords) as u32)
+        NodeId(index_of(self.dims(), coords) as u32)
     }
+}
 
-    fn link(&self, r: RouterId, dim: usize, toward_higher: bool) -> ChannelId {
-        self.links[(r.idx() * self.dims.len() + dim) * 2 + usize::from(!toward_higher)]
-            .expect("e-cube routing never walks off the mesh edge")
-    }
+/// Index stride of each dimension (the product of the lower sides).
+pub(crate) fn strides_of(dims: &[usize]) -> Vec<usize> {
+    dims.iter()
+        .scan(1, |stride, &m| {
+            let s = *stride;
+            *stride *= m;
+            Some(s)
+        })
+        .collect()
 }
 
 /// Mixed-radix digits of `idx`, dimension 0 first.
@@ -152,21 +253,33 @@ impl Topology for Mesh {
         &self.graph
     }
 
-    fn route_candidates(&self, r: RouterId, _src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
+    fn route_candidates(&self, r: RouterId, _src: NodeId, dest: NodeId, out: &mut Vec<Hop>) {
         // Router r is co-located with node r in a mesh.  Decode both digit
         // strings in place, lowest dimension first, and correct the first
-        // digit that differs.
-        let (mut here, mut there) = (r.idx(), dest.idx());
-        for (d, &m) in self.dims.iter().enumerate() {
-            let (h, t) = (here % m, there % m);
+        // digit that differs.  The link's offset within r's links counts
+        // r's links along the lower dimensions on the way.
+        let links = &self.links;
+        let r = r.idx();
+        let (mut here, mut there, mut local) = (r, dest.idx(), 0);
+        for dim in &links.dims {
+            let (h, t) = (here % dim.side, there % dim.side);
             if h != t {
-                out.push(self.link(r, d, t > h));
+                // Toward the lower coordinate comes after toward the higher.
+                let lower = t < h;
+                let off = links.prefix[r] as usize + local + usize::from(lower && h + 1 < dim.side);
+                let next = if lower {
+                    r - dim.stride
+                } else {
+                    r + dim.stride
+                };
+                out.push(links.hop(off, next));
                 return;
             }
-            here /= m;
-            there /= m;
+            local += dim.degree(h) as usize;
+            here /= dim.side;
+            there /= dim.side;
         }
-        out.extend_from_slice(self.graph.consumptions(dest));
+        out.extend(self.graph.consumption_hops(dest));
     }
 
     fn chain_key(&self, n: NodeId) -> u64 {
@@ -177,14 +290,14 @@ impl Topology for Mesh {
         // intervals stay on disjoint channels.  (With the opposite pairing a
         // chain-downward send sweeps across the sender's row and collides
         // with up-chain traffic — verified by the contention checker.)
-        dim_ordered_key(&self.dims, n.idx())
+        dim_ordered_key(self.dims(), n.idx())
     }
 
     fn distance(&self, src: NodeId, dst: NodeId) -> usize {
         // Manhattan distance: e-cube corrects every differing digit once.
         let (mut a, mut b) = (src.idx(), dst.idx());
         let mut sum = 0;
-        for &m in &self.dims {
+        for &m in self.dims() {
             sum += (a % m).abs_diff(b % m);
             a /= m;
             b /= m;
@@ -194,7 +307,7 @@ impl Topology for Mesh {
 
     fn name(&self) -> String {
         let dims: Vec<String> = self
-            .dims
+            .dims()
             .iter()
             .map(std::string::ToString::to_string)
             .collect();
@@ -220,6 +333,38 @@ mod tests {
         // edges = 2 * 16*15 per dimension pair... count explicitly:
         // per dimension: 15*16 undirected links → 2 directed each, 2 dims.
         assert_eq!(m.graph().n_channels(), 2 * 256 + 2 * (2 * 15 * 16));
+    }
+
+    /// The stored prefix is the closed form DESIGN.md §11 gives for it:
+    /// `prefix(r) = Σ_e (2r − Z_e − M_e)`, where `Z_e` and `M_e` count the
+    /// routers below `r` with digit 0 and digit `m_e − 1` in dimension `e`.
+    #[test]
+    fn prefix_follows_the_closed_form() {
+        for dims in [
+            &[1][..],
+            &[6],
+            &[1, 5],
+            &[4, 3, 2],
+            &[5, 7],
+            &[2; 6],
+            &[3, 1, 4],
+        ] {
+            let links = MeshLinks::new(dims, 1);
+            let n: usize = dims.iter().product();
+            for r in 0..n {
+                let mut sum = 0;
+                let mut stride = 1;
+                for &m in dims {
+                    let (c, low, high) = (r / stride % m, r % stride, r / (stride * m));
+                    let zeros = high * stride + if c > 0 { stride } else { low };
+                    let tops = high * stride + if c == m - 1 { low } else { 0 };
+                    sum += 2 * r - zeros - tops;
+                    stride *= m;
+                }
+                assert_eq!(links.prefix[r] as usize, sum, "{dims:?} router {r}");
+            }
+            assert_eq!(links.count(), links.prefix[n] as usize);
+        }
     }
 
     #[test]

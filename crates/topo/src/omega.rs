@@ -16,18 +16,71 @@
 //! connects each stage's output positions to the next stage's inputs; the
 //! last stage's output position `q` feeds node `q`.
 
-use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
+use crate::graph::{ChannelId, Hop, Links, NetworkGraph, NodeId, RouterId};
 use crate::topology::Topology;
 
 /// An `N = 2^s` node unidirectional Omega network.
 #[derive(Debug, Clone)]
 pub struct Omega {
-    s: u32,
+    links: OmegaLinks,
     graph: NetworkGraph,
-    /// `inter[(ℓ * W + r) * 2 + c]`: channel leaving stage-`ℓ` switch `r`
-    /// through output port `c` (for `ℓ < s-1`; the last stage uses
-    /// consumption channels).
-    inter: Vec<ChannelId>,
+}
+
+/// The Omega network's link numbering: the channel leaving stage-`ℓ`
+/// switch `r` (`ℓ < s − 1`; the last stage feeds consumption channels)
+/// through output port `c` is `base + (ℓ · W + r) · 2 + c`, with `W`
+/// switches per stage and router `(ℓ, r)` numbered `ℓ · W + r`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OmegaLinks {
+    /// Stages (address bits).
+    s: u32,
+    /// The first link id, after the `2n` port channels.
+    base: usize,
+}
+
+impl OmegaLinks {
+    /// Switches per stage.
+    fn width(self) -> usize {
+        1 << (self.s - 1)
+    }
+
+    fn router(self, l: usize, r: usize) -> RouterId {
+        RouterId(((l << (self.s - 1)) + r) as u32)
+    }
+
+    /// The stage-`l + 1` switch that output port `c` of stage-`l` switch
+    /// `r` feeds: the perfect shuffle (left rotation) of output position
+    /// `2r + c`, halved.
+    fn successor(self, r: usize, c: usize) -> usize {
+        let q = 2 * r + c;
+        let shuffled = ((q << 1) | (q >> (self.s - 1))) & ((1 << self.s) - 1);
+        shuffled >> 1
+    }
+
+    /// The hop out of stage-`l` switch `r` through output port `c`.
+    fn hop(self, l: usize, r: usize, c: usize) -> Hop {
+        Hop {
+            channel: ChannelId((self.base + ((l << (self.s - 1)) + r) * 2 + c) as u32),
+            next: Some(self.router(l + 1, self.successor(r, c))),
+        }
+    }
+
+    /// Nodes inject into stage 0 at position `n` and consume from the
+    /// last stage at position `n`.
+    pub(crate) fn port_router(self, n: NodeId, consumption: bool) -> RouterId {
+        let stage = if consumption { self.s as usize - 1 } else { 0 };
+        self.router(stage, n.idx() >> 1)
+    }
+
+    pub(crate) fn count(self) -> usize {
+        (self.s as usize - 1) * self.width() * 2
+    }
+
+    pub(crate) fn ends(self, off: usize) -> (RouterId, RouterId) {
+        let (c, q) = (off & 1, off >> 1);
+        let (l, r) = (q >> (self.s - 1), q & (self.width() - 1));
+        (self.router(l, r), self.router(l + 1, self.successor(r, c)))
+    }
 }
 
 impl Omega {
@@ -41,48 +94,22 @@ impl Omega {
             "s={s} out of the sensible range 1..=20"
         );
         let n = 1usize << s;
-        let w = n / 2;
-        let stages = s as usize;
-        let mut b = NetworkGraph::builder(n, stages * w);
-        let router = |l: usize, r: usize| RouterId((l * w + r) as u32);
-        // Nodes inject into stage 0 at position i and consume from the last
-        // stage at position i.
-        for i in 0..n {
-            b.injection(NodeId(i as u32), router(0, i >> 1));
-            b.consumption(NodeId(i as u32), router(stages - 1, i >> 1));
-        }
-        let shuffle = |q: usize| ((q << 1) | (q >> (s - 1))) & (n - 1);
-        let invalid = ChannelId(u32::MAX);
-        let mut inter = vec![invalid; stages * w * 2];
-        for l in 0..stages - 1 {
-            for r in 0..w {
-                for c in 0..2usize {
-                    let q = 2 * r + c; // output position
-                    let p = shuffle(q); // next stage input position
-                    inter[(l * w + r) * 2 + c] = b.link(router(l, r), router(l + 1, p >> 1));
-                }
-            }
-        }
+        let links = OmegaLinks { s, base: 2 * n };
         Self {
-            s,
-            graph: b.build(),
-            inter,
+            graph: NetworkGraph::new(n, s as usize * n / 2, 1, Links::Omega(links)),
+            links,
         }
     }
 
     /// Number of stages (`log2 N`).
     pub fn stages(&self) -> u32 {
-        self.s
-    }
-
-    fn width(&self) -> usize {
-        self.graph.n_nodes() / 2
+        self.links.s
     }
 
     /// Decompose a router id into (stage, switch index).
     pub fn stage_of(&self, r: RouterId) -> (usize, usize) {
         // A stage holds 2^(s-1) switches.
-        let half = self.s - 1;
+        let half = self.links.s - 1;
         (r.idx() >> half, r.idx() & ((1 << half) - 1))
     }
 }
@@ -92,9 +119,9 @@ impl Topology for Omega {
         &self.graph
     }
 
-    fn route_candidates(&self, r: RouterId, _src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
+    fn route_candidates(&self, r: RouterId, _src: NodeId, dest: NodeId, out: &mut Vec<Hop>) {
         let (l, idx) = self.stage_of(r);
-        let s = self.s as usize;
+        let s = self.links.s as usize;
         // Output port at stage ℓ = bit (s-1-ℓ) of the destination: the
         // shuffle rotates that bit into the switch-select position of the
         // next stage, so after s stages the wire position equals `dest`.
@@ -105,9 +132,9 @@ impl Topology for Omega {
                 dest.idx(),
                 "omega routing must terminate at the destination's switch"
             );
-            out.extend_from_slice(self.graph.consumptions(dest));
+            out.extend(self.graph.consumption_hops(dest));
         } else {
-            out.push(self.inter[(l * self.width() + idx) * 2 + c]);
+            out.push(self.links.hop(l, idx, c));
         }
     }
 
@@ -116,7 +143,7 @@ impl Topology for Omega {
         if src == dst {
             0
         } else {
-            self.s as usize - 1
+            self.links.s as usize - 1
         }
     }
 

@@ -1,7 +1,7 @@
 //! The [`Topology`] trait — everything the simulator and the schedulers need
 //! to know about a network.
 
-use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
+use crate::graph::{ChannelId, Hop, NetworkGraph, NodeId, RouterId};
 
 /// Why a deterministic route could not be materialised.
 ///
@@ -82,16 +82,17 @@ pub trait Topology: Send + Sync {
     /// The channel graph.
     fn graph(&self) -> &NetworkGraph;
 
-    /// Append the preference-ordered candidate output channels at router `r`
-    /// for a worm from `src` headed to `dest`.  Deterministic topologies
-    /// yield exactly one candidate; the BMIN up-phase yields two.  When the
-    /// worm has reached `dest`'s router the single candidate is the
-    /// consumption channel.
+    /// Append the preference-ordered candidate hops at router `r` for a
+    /// worm from `src` headed to `dest`: each output channel with the
+    /// router it enters.  Deterministic topologies yield exactly one
+    /// candidate; the BMIN up-phase yields two.  When the worm has reached
+    /// `dest`'s router the candidates are its consumption channels, which
+    /// enter no router.
     ///
     /// The simulator calls this once per hop of every worm, so every family
     /// computes it in closed form from the router and node indices and
     /// allocates nothing beyond what it appends to `out`.
-    fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>);
+    fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<Hop>);
 
     /// Does nothing: there is no route table, every hop is routed by
     /// [`Topology::route_candidates`].  Kept only because the benchmark
@@ -119,25 +120,27 @@ pub trait Topology: Send + Sync {
         let g = self.graph();
         let mut path = vec![g.injection(src)];
         let mut at = g
-            .dst_router(g.injection(src))
+            .injection_hops(src)
+            .next()
+            .and_then(|h| h.next)
             .expect("injection leads to a router");
         let mut cand = Vec::new();
         // A worm never needs more hops than channels exist.
         for _ in 0..=g.n_channels() {
             cand.clear();
             self.route_candidates(at, src, dst, &mut cand);
-            let Some(&next) = cand.first() else {
+            let Some(&hop) = cand.first() else {
                 return Err(RoutingError::NoCandidate { at, src, dst });
             };
-            path.push(next);
-            match g.dst_router(next) {
+            path.push(hop.channel);
+            match hop.next {
                 Some(r) => at = r,
                 None => {
-                    if g.dst_node(next) != Some(dst) {
+                    if !g.consumptions(dst).any(|c| c == hop.channel) {
                         return Err(RoutingError::WrongConsumption {
                             src,
                             dst,
-                            reached: g.dst_node(next),
+                            reached: g.dst_node(hop.channel),
                         });
                     }
                     return Ok(path);

@@ -18,8 +18,8 @@
 //! it — wrap paths escape the interval hull that Theorem 1's geometry
 //! relies on).
 
-use crate::graph::{ChannelId, NetworkGraph, NodeId, RouterId};
-use crate::mesh::{coords_of, dim_ordered_key, index_of};
+use crate::graph::{ChannelId, Hop, Links, NetworkGraph, NodeId, RouterId};
+use crate::mesh::{coords_of, dim_ordered_key, index_of, strides_of};
 use crate::topology::Topology;
 
 /// An n-dimensional torus; every node has a router with two virtual
@@ -28,14 +28,64 @@ use crate::topology::Topology;
 /// positive control for its channel-dependency-graph analysis).
 #[derive(Debug, Clone)]
 pub struct Torus {
-    dims: Vec<usize>,
+    links: TorusLinks,
     graph: NetworkGraph,
-    /// `links[((r * ndim + d) * 2 + dir) * 2 + vc]`; `dir` 0 = +, 1 = −.
-    /// In the unvirtualized variant both `vc` slots hold the *same*
-    /// channel, so the routing function needs no special casing.
-    links: Vec<ChannelId>,
-    /// False for the unvirtualized (single-VC) variant.
-    virtualized: bool,
+}
+
+/// The torus's link numbering: every router has a link in each direction
+/// of each dimension, so link `(r, d, dir, vc)` is
+/// `base + ((r · D + d) · 2 + dir) · V + vc`, `dir` 0 = +, 1 = −, with
+/// `V` = 2 virtual channels, or 1 unvirtualized (where both `vc` name the
+/// one channel, so the routing function needs no special casing).
+#[derive(Debug, Clone)]
+pub(crate) struct TorusLinks {
+    /// Side length of each dimension, dimension 0 first.
+    sides: Vec<usize>,
+    /// Index stride of each dimension.
+    strides: Vec<usize>,
+    /// Virtual channels per physical link (1 or 2).
+    vcs: usize,
+    /// Number of routers.
+    n: usize,
+    /// The first link id, after the `2n` port channels.
+    base: usize,
+}
+
+impl TorusLinks {
+    /// The link from router `r` along dimension `d`, direction `dir`, on
+    /// virtual channel `vc`.
+    fn id(&self, r: usize, d: usize, dir: usize, vc: usize) -> ChannelId {
+        let slot = (r * self.sides.len() + d) * 2 + dir;
+        ChannelId((self.base + slot * self.vcs + (vc & (self.vcs - 1))) as u32)
+    }
+
+    /// The router one step from `r` along `d`, with wraparound; `c` is
+    /// `r`'s coordinate in `d`.
+    fn neighbour(&self, r: usize, d: usize, c: usize, dir: usize) -> usize {
+        let (m, s) = (self.sides[d], self.strides[d]);
+        let next = if dir == 0 {
+            (c + 1) % m
+        } else {
+            (c + m - 1) % m
+        };
+        r - c * s + next * s
+    }
+
+    pub(crate) fn count(&self) -> usize {
+        self.n * self.sides.len() * 2 * self.vcs
+    }
+
+    pub(crate) fn ends(&self, off: usize) -> (RouterId, RouterId) {
+        let slot = off / self.vcs;
+        let (dir, d, r) = (
+            slot % 2,
+            slot / 2 % self.sides.len(),
+            slot / 2 / self.sides.len(),
+        );
+        let c = r / self.strides[d] % self.sides[d];
+        let next = self.neighbour(r, d, c, dir);
+        (RouterId(r as u32), RouterId(next as u32))
+    }
 }
 
 impl Torus {
@@ -67,68 +117,43 @@ impl Torus {
             "torus sides must be at least 2"
         );
         let n: usize = dims.iter().product();
-        let ndim = dims.len();
-        let mut b = NetworkGraph::builder(n, n);
-        for i in 0..n {
-            b.injection(NodeId(i as u32), RouterId(i as u32));
-            b.consumption(NodeId(i as u32), RouterId(i as u32));
-        }
-        let mut links = vec![ChannelId(u32::MAX); n * ndim * 4];
-        for r in 0..n {
-            // Neighbours along dimension d sit `stride` indices away, the
-            // wrap neighbour `(m - 1) * stride` away.
-            let mut stride = 1;
-            for (d, &m) in dims.iter().enumerate() {
-                let c = r / stride % m;
-                let base = r - c * stride;
-                for (dir, next) in [(0usize, (c + 1) % m), (1, (c + m - 1) % m)] {
-                    let nb = RouterId((base + next * stride) as u32);
-                    if virtualized {
-                        for vc in 0..2usize {
-                            links[((r * ndim + d) * 2 + dir) * 2 + vc] =
-                                b.link(RouterId(r as u32), nb);
-                        }
-                    } else {
-                        let ch = b.link(RouterId(r as u32), nb);
-                        for vc in 0..2usize {
-                            links[((r * ndim + d) * 2 + dir) * 2 + vc] = ch;
-                        }
-                    }
-                }
-                stride *= m;
-            }
-        }
+        let links = TorusLinks {
+            sides: dims.to_vec(),
+            strides: strides_of(dims),
+            vcs: if virtualized { 2 } else { 1 },
+            n,
+            base: 2 * n,
+        };
         Self {
-            dims: dims.to_vec(),
-            graph: b.build(),
+            graph: NetworkGraph::new(n, n, 1, Links::Torus(links.clone())),
             links,
-            virtualized,
         }
     }
 
     /// True when the torus carries dateline virtual channels (the default,
     /// deadlock-free configuration).
     pub fn is_virtualized(&self) -> bool {
-        self.virtualized
+        self.links.vcs == 2
     }
 
     /// Side lengths.
     pub fn dims(&self) -> &[usize] {
-        &self.dims
+        &self.links.sides
     }
 
     /// Coordinates of a node.
     pub fn coords(&self, n: NodeId) -> Vec<usize> {
-        coords_of(&self.dims, n.idx())
+        coords_of(self.dims(), n.idx())
     }
 
     /// Node at coordinates.
     pub fn node_at(&self, coords: &[usize]) -> NodeId {
-        NodeId(index_of(&self.dims, coords) as u32)
+        NodeId(index_of(self.dims(), coords) as u32)
     }
 
+    #[cfg(test)]
     fn link(&self, r: RouterId, d: usize, dir: usize, vc: usize) -> ChannelId {
-        self.links[((r.idx() * self.dims.len() + d) * 2 + dir) * 2 + vc]
+        self.links.id(r.idx(), d, dir, vc)
     }
 }
 
@@ -137,11 +162,11 @@ impl Topology for Torus {
         &self.graph
     }
 
-    fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<ChannelId>) {
+    fn route_candidates(&self, r: RouterId, src: NodeId, dest: NodeId, out: &mut Vec<Hop>) {
         // Decode router (co-located with node r), source and destination
         // digit strings in place, lowest dimension first.
         let (mut here, mut from, mut to) = (r.idx(), src.idx(), dest.idx());
-        for (d, &m) in self.dims.iter().enumerate() {
+        for (d, &m) in self.links.sides.iter().enumerate() {
             let (h, f, t) = (here % m, from % m, to % m);
             here /= m;
             from /= m;
@@ -162,24 +187,27 @@ impl Topology for Torus {
                 // position rises above the starting coordinate.
                 (1, h > f)
             };
-            out.push(self.link(r, d, dir, usize::from(crossed)));
+            out.push(Hop {
+                channel: self.links.id(r.idx(), d, dir, usize::from(crossed)),
+                next: Some(RouterId(self.links.neighbour(r.idx(), d, h, dir) as u32)),
+            });
             return;
         }
-        out.extend_from_slice(self.graph.consumptions(dest));
+        out.extend(self.graph.consumption_hops(dest));
     }
 
     fn chain_key(&self, n: NodeId) -> u64 {
         // Same convention as the mesh: first-routed dimension is most
         // significant.  (On a torus this order is *not* contention-free —
         // that is precisely what `torus_study` measures.)
-        dim_ordered_key(&self.dims, n.idx())
+        dim_ordered_key(self.dims(), n.idx())
     }
 
     fn distance(&self, src: NodeId, dst: NodeId) -> usize {
         // Wrap-aware Manhattan distance: Σ min(d, m − d) over dimensions.
         let (mut a, mut b) = (src.idx(), dst.idx());
         let mut sum = 0;
-        for &m in &self.dims {
+        for &m in self.dims() {
             let d = (a % m).abs_diff(b % m);
             sum += d.min(m - d);
             a /= m;
@@ -190,11 +218,11 @@ impl Topology for Torus {
 
     fn name(&self) -> String {
         let dims: Vec<String> = self
-            .dims
+            .dims()
             .iter()
             .map(std::string::ToString::to_string)
             .collect();
-        let suffix = if self.virtualized { "" } else { "-novc" };
+        let suffix = if self.is_virtualized() { "" } else { "-novc" };
         format!("torus-{}{suffix}", dims.join("x"))
     }
 }

@@ -10,7 +10,7 @@
 //! `distance_is_the_deterministic_hop_count` pins the closed-form
 //! `distance` overrides to the path walk they replace.
 
-use topo::{Bmin, Mesh, NodeId, Omega, RouterId, Topology, Torus, UpPolicy};
+use topo::{Bmin, Endpoint, Mesh, NodeId, Omega, RouterId, Topology, Torus, UpPolicy};
 
 /// 64-bit FNV-1a, folded over little-endian `u32` words.
 struct Fnv(u64);
@@ -31,7 +31,8 @@ impl Fnv {
 /// Digest of every candidate list `topo` returns, in (router, dest, src)
 /// order, skipping `src == dest` (a node never routes to itself) and the
 /// pairs `defined(router, dest)` rejects.  Each list is hashed as its
-/// length followed by its channel ids.
+/// length followed by its channel ids (the routers the hops enter are
+/// checked against the numbering in `next_routers_match_the_numbering`).
 fn digest(topo: &dyn Topology, defined: impl Fn(RouterId, NodeId) -> bool) -> u64 {
     let g = topo.graph();
     let mut h = Fnv::new();
@@ -49,8 +50,8 @@ fn digest(topo: &dyn Topology, defined: impl Fn(RouterId, NodeId) -> bool) -> u6
                 out.clear();
                 topo.route_candidates(r, src, dest, &mut out);
                 h.word(out.len() as u32);
-                for c in &out {
-                    h.word(c.0);
+                for hop in &out {
+                    h.word(hop.channel.0);
                 }
                 lists += 1;
             }
@@ -146,6 +147,56 @@ fn route_candidates_are_pinned() {
     ];
     let got: Vec<(&str, u64)> = got.iter().map(|(n, d)| (n.as_str(), *d)).collect();
     assert_eq!(got, expect, "routing function output changed");
+}
+
+/// Every hop `route_candidates` hands out leaves the router it was asked
+/// at and enters the router it names, as the graph decodes its channel.
+fn assert_hops_match_the_numbering(
+    topo: &dyn Topology,
+    defined: impl Fn(RouterId, NodeId) -> bool,
+) {
+    let g = topo.graph();
+    let mut out = Vec::new();
+    for r in (0..g.n_routers() as u32).map(RouterId) {
+        for dest in (0..g.n_nodes() as u32).map(NodeId) {
+            if !defined(r, dest) {
+                continue;
+            }
+            for src in (0..g.n_nodes() as u32).map(NodeId).filter(|&s| s != dest) {
+                out.clear();
+                topo.route_candidates(r, src, dest, &mut out);
+                for hop in &out {
+                    let ch = g.channel(hop.channel);
+                    assert_eq!(ch.src, Endpoint::Router(r), "{} {hop:?}", topo.name());
+                    assert_eq!(
+                        g.dst_router(hop.channel),
+                        hop.next,
+                        "{} {hop:?}",
+                        topo.name()
+                    );
+                    if hop.next.is_none() {
+                        assert_eq!(ch.dst, Endpoint::Node(dest), "{} {hop:?}", topo.name());
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn next_routers_match_the_numbering() {
+    for t in meshes() {
+        assert_hops_match_the_numbering(&t, everywhere);
+    }
+    for t in tori() {
+        assert_hops_match_the_numbering(&t, everywhere);
+    }
+    for t in bmins(&[1, 2, 3, 4]) {
+        assert_hops_match_the_numbering(&t, everywhere);
+    }
+    for t in omegas(&[1, 2, 3, 4]) {
+        assert_hops_match_the_numbering(&t, omega_reachable(&t));
+    }
 }
 
 /// `distance` equals the hop count of the deterministic walk on every

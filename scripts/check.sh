@@ -113,6 +113,33 @@ grep -F '"hits":3' "$SMOKE_DIR/serve_a.jsonl" >/dev/null \
 test -s "$SMOKE_DIR/plansvc_telem.json" \
     || { echo "optmc serve --telemetry-out wrote nothing" >&2; exit 1; }
 
+# Edge shapes, certified: one k = 2 request on the smallest and the largest
+# networks of each family (sides of 1 and 2, 20 dimensions, two NI ports,
+# no virtual channels, 2^20 nodes) must each be answered, never refused or
+# panicked on, and a replay must answer byte-identically.
+echo "==> optmc serve --certify answers the edge shapes deterministically"
+cat > "$SMOKE_DIR/edge_batch.jsonl" <<'EOF'
+{"id": 1, "topo": "mesh:2", "k": 2, "seed": 1}
+{"id": 2, "topo": "mesh:1x2", "k": 2, "seed": 1}
+{"id": 3, "topo": "mesh:2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2x2", "k": 2, "seed": 1}
+{"id": 4, "topo": "mesh:4x4:2", "k": 2, "seed": 1}
+{"id": 5, "topo": "torus:2", "k": 2, "seed": 1}
+{"id": 6, "topo": "torus:4x4:novc", "k": 2, "seed": 1}
+{"id": 7, "topo": "bmin:2", "k": 2, "seed": 1}
+{"id": 8, "topo": "omega:2", "k": 2, "seed": 1}
+{"id": 9, "topo": "bmin:1048576", "k": 2, "seed": 1}
+{"id": 10, "topo": "omega:1048576", "k": 2, "seed": 1}
+{"id": 11, "topo": "mesh:1024x1024", "k": 2, "seed": 1}
+EOF
+cargo run --release -q -p optmc-cli --bin optmc -- \
+    serve --certify --quiet < "$SMOKE_DIR/edge_batch.jsonl" > "$SMOKE_DIR/edge_a.jsonl"
+cargo run --release -q -p optmc-cli --bin optmc -- \
+    serve --certify --quiet < "$SMOKE_DIR/edge_batch.jsonl" > "$SMOKE_DIR/edge_b.jsonl"
+cmp "$SMOKE_DIR/edge_a.jsonl" "$SMOKE_DIR/edge_b.jsonl" \
+    || { echo "optmc serve edge-shape responses are not replay-deterministic" >&2; exit 1; }
+test "$(grep -c '"ok":true' "$SMOKE_DIR/edge_a.jsonl")" -eq 11 \
+    || { echo "optmc serve did not answer every edge shape" >&2; exit 1; }
+
 # Figure determinism gate: the committed paper figures must regenerate
 # byte-identical from a clean build — fig1's worked example (its whole
 # stdout, contention verdicts included) and the fig2-fig4 datasets, fig4

@@ -1,9 +1,11 @@
 //! A memory ceiling at the largest shapes the benchmarks use.
 //!
-//! Routing is closed-form and nothing per topology may grow faster than
-//! its router and channel counts.  A structure quadratic in network size
-//! (a dense routers × nodes table on `mesh:256x256` would take ~34 GB)
-//! shows here as a peak RSS far above the ceiling, or as an abort.
+//! Routing and the channel numbering are closed-form: a topology stores
+//! its shape (a mesh adds one 4-byte link prefix per router), and only the
+//! simulator's per-run state grows with the channel count.  A structure
+//! quadratic in network size (a dense routers × nodes table on
+//! `mesh:256x256` would take ~34 GB) shows here as a peak RSS far above
+//! the ceiling, or as an abort.
 //!
 //! The file holds a single test so that the binary is its own process and
 //! `VmHWM` (peak RSS, process-wide and never falling) measures only it.
