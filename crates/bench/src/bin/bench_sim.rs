@@ -4,10 +4,12 @@
 //! Runs multicasts on six large shapes — the 32x32 mesh and the 1024-node
 //! BMIN under the paper's three algorithms, the 128x128 and 256x256 meshes
 //! and the 4096- and 16384-node BMINs under OPT-arch — and prints events,
-//! peak event-queue depth, wall time and events/sec per record.  Then it
-//! runs the observer pair (one 16x16-mesh workload under the Null observer
-//! and under the counters-only sink, interleaved) and exits 1 if the
-//! counters sink falls below 0.95x the Null throughput.
+//! peak event-queue depth, wall time, the time per multicast inside
+//! `Engine::run` and end to end (the simulator state's set-up, planning,
+//! run and drop), and events/sec per record.  Then it runs the observer
+//! pair (one 16x16-mesh workload under the Null observer and under the
+//! counters-only sink, interleaved) and exits 1 if the counters sink falls
+//! below 0.95x the Null throughput.
 //!
 //! ```text
 //! cargo run --release -p optmc-bench --bin bench_sim

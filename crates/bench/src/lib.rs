@@ -7,6 +7,7 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
+use std::time::Instant;
 
 use flitsim::SimConfig;
 use optmc::{experiments::run_trials, Algorithm};
@@ -99,6 +100,11 @@ pub struct SimBenchRecord {
     pub peak_heap_bytes: u64,
     /// Total wall-clock nanoseconds inside `Engine::run` (non-deterministic).
     pub wall_ns: u64,
+    /// Wall-clock nanoseconds of the whole workload, end to end: the
+    /// simulator state's set-up, every multicast's planning, run and drop
+    /// (non-deterministic).  Against `wall_ns` it shows what `run()` alone
+    /// leaves out.
+    pub e2e_ns: u64,
     /// Events per wall-clock second over the whole workload.
     pub events_per_sec: f64,
     /// Mean simulated multicast latency (cycles; deterministic).
@@ -108,8 +114,10 @@ pub struct SimBenchRecord {
     pub sim_cycles: u64,
 }
 
-/// Run `runs` seeded placements of one multicast workload and aggregate the
-/// engine vitals each [`optmc::RunOutcome`] now carries in `sim.meta`.
+/// Run `runs` seeded placements of one multicast workload on one
+/// [`flitsim::Sim`] and aggregate the engine vitals each
+/// [`optmc::RunOutcome`] carries in `sim.meta`, with the workload's end-to-end
+/// wall time.
 #[allow(clippy::too_many_arguments)]
 pub fn bench_workload(
     workload: &str,
@@ -125,12 +133,16 @@ pub fn bench_workload(
     let n = topo.graph().n_nodes();
     let mut rec = SimBenchRecord::empty(workload, topo, alg, runs);
     let mut latency_sum = 0u64;
+    let start = Instant::now();
+    let mut sim = flitsim::Sim::new(topo.graph());
     for t in 0..runs {
         let parts = optmc::random_placement(n, k, seed + t as u64);
-        let out = optmc::run_multicast(topo, cfg, alg, &parts, parts[0], bytes);
+        let out = optmc::run_multicast_on(&mut sim, topo, cfg, alg, &parts, parts[0], bytes);
         rec.add_run(&out.sim);
         latency_sum += out.latency;
     }
+    drop(sim);
+    rec.e2e_ns = start.elapsed().as_nanos().try_into().unwrap_or(u64::MAX);
     rec.finish(latency_sum, runs);
     rec
 }
@@ -212,6 +224,7 @@ impl SimBenchRecord {
             peak_heap_events: 0,
             peak_heap_bytes: 0,
             wall_ns: 0,
+            e2e_ns: 0,
             events_per_sec: 0.0,
             mean_latency: 0.0,
             sim_cycles: 0,
@@ -239,24 +252,42 @@ impl SimBenchRecord {
     }
 }
 
-/// Render the vitals table for a set of workload records.
+/// Render the vitals table for a set of workload records: `run()` wall
+/// time in total, and per multicast both `run()` alone and end to end
+/// (`-` where a record was not timed end to end).
 pub fn bench_table(records: &[SimBenchRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12} {:>12}",
-        "workload", "algorithm", "runs", "events", "peak-heap", "wall-ms", "events/sec"
+        "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12} {:>12} {:>12} {:>12}",
+        "workload",
+        "algorithm",
+        "runs",
+        "events",
+        "peak-heap",
+        "wall-ms",
+        "run-us/mc",
+        "e2e-us/mc",
+        "events/sec"
     );
     for r in records {
+        let per_mc = |ns: u64| ns as f64 / 1e3 / r.runs as f64;
+        let e2e = if r.e2e_ns == 0 {
+            "-".to_string()
+        } else {
+            format!("{:.1}", per_mc(r.e2e_ns))
+        };
         let _ = writeln!(
             out,
-            "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12.2} {:>12.0}",
+            "{:<22} {:<10} {:>5} {:>12} {:>10} {:>12.2} {:>12.1} {:>12} {:>12.0}",
             r.workload,
             r.algorithm,
             r.runs,
             r.events_processed,
             r.peak_heap_events,
             r.wall_ns as f64 / 1e6,
+            per_mc(r.wall_ns),
+            e2e,
             r.events_per_sec,
         );
     }
@@ -330,6 +361,7 @@ mod tests {
             peak_heap_events: 10,
             peak_heap_bytes: 0,
             wall_ns,
+            e2e_ns: 0,
             events_per_sec: 0.0,
             mean_latency: 123.5,
             sim_cycles: 50_000,

@@ -18,6 +18,10 @@
 //! would give.  A `Release` event is queued only when a worm waits on the
 //! channel (it must be woken at exactly that time) or when the observer
 //! records events in time order.
+//!
+//! Everything sized by the network lives in a [`Sim`], which a run hands
+//! back reset: the next run on the same network allocates, fills and scans
+//! nothing per channel or per node.
 
 use std::collections::VecDeque;
 
@@ -28,7 +32,7 @@ use crate::config::SimConfig;
 use crate::equeue::{EventQueue, ENTRY_BYTES};
 use crate::obs::{Observer, RunMeta, TraceSink};
 use crate::program::{Program, SendReq};
-use crate::stats::{ChannelTelemetry, MessageRecord, SimResult};
+use crate::stats::{ChannelTelemetry, ChannelTotals, MessageRecord, SimResult};
 use crate::trace::TraceEvent;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,10 +83,12 @@ const RANK_SHIFT: u32 = 28;
 const FREE: u32 = u32::MAX;
 /// `ChanState::waiters` of a channel nothing has waited on yet.
 const NO_WAITERS: u32 = u32::MAX;
+/// `ChanState::total` of a channel the run has not acquired.
+const UNTOUCHED: u32 = u32::MAX;
 
-/// One channel's occupancy: 24 bytes and nothing on the heap, because the
-/// per-run `Engine::new` initialises (and the run drops) one per channel
-/// of the network.
+/// One channel's occupancy: 24 bytes and nothing on the heap, because a
+/// [`Sim`] holds one per channel of the network.
+#[derive(Clone, Copy)]
 struct ChanState {
     /// The acquire time while the release time is unknown; the release time
     /// (`free_at`) once `released` is set.
@@ -90,9 +96,12 @@ struct ChanState {
     /// The holding worm, or [`FREE`].  A holder whose `free_at` has passed
     /// is stale: the next acquire overwrites it.
     holder: u32,
-    /// The channel's list in `Engine::waiters`, given on its first waiter,
+    /// The channel's list in `Sim::waiters`, given on its first waiter,
     /// or [`NO_WAITERS`].
     waiters: u32,
+    /// The channel's entry in `Sim::totals`, given on its first acquire,
+    /// or [`UNTOUCHED`].
+    total: u32,
     /// The holder's release time is known and stored in `at`.
     released: bool,
     /// A `Release` event for this channel sits in the queue.
@@ -102,15 +111,30 @@ struct ChanState {
 const _: () = assert!(std::mem::size_of::<ChanState>() <= 24);
 
 impl ChanState {
+    /// A channel no run has acquired.
+    const IDLE: ChanState = ChanState {
+        at: 0,
+        holder: FREE,
+        waiters: NO_WAITERS,
+        total: UNTOUCHED,
+        released: false,
+        release_queued: false,
+    };
+
     /// Whether an event at `t` finds the channel free.
     fn is_free(&self, t: Time) -> bool {
         self.holder == FREE || (self.released && self.at <= t)
     }
 }
 
-struct NodeState<P> {
+/// `NodeState::queue` of a node with no send waiting.
+const NO_QUEUE: u32 = u32::MAX;
+
+/// One node's CPU: 32 bytes and nothing on the heap, because a [`Sim`]
+/// holds one per node of the network.
+#[derive(Clone, Copy)]
+struct NodeState {
     cpu_free: Time,
-    queue: VecDeque<SendReq<P>>,
     /// Time of the earliest pending `NodeKick`, if any.  Stale kicks (a
     /// later one superseded by an earlier enqueue) stay in the heap and are
     /// ignored when they fire.
@@ -118,6 +142,175 @@ struct NodeState<P> {
     /// Sends issued (worms born) by this node so far — the per-node half of
     /// every worm's intrinsic rank.
     issued: u32,
+    /// The node's send queue in `Sim::queues` while a send waits, or
+    /// [`NO_QUEUE`].
+    queue: u32,
+}
+
+impl NodeState {
+    /// A node no run has changed.
+    const IDLE: NodeState = NodeState {
+        cpu_free: 0,
+        kick_at: None,
+        issued: 0,
+        queue: NO_QUEUE,
+    };
+
+    /// Whether the node is as no run has left it.  A node the run is about
+    /// to change while it is pristine joins the run's touched list.
+    fn is_pristine(&self) -> bool {
+        self.cpu_free == 0 && self.issued == 0 && self.kick_at.is_none() && self.queue == NO_QUEUE
+    }
+}
+
+/// The simulator's state for one network shape, reusable across runs: the
+/// per-channel occupancy and totals, the per-node CPUs and send queues,
+/// the waiter lists, the event queue, the worm slab and the scratch
+/// buffers.  Per channel and per node it holds 24 and 32 bytes of plain
+/// data; everything on the heap is sized by what runs used, not by the
+/// network.
+///
+/// [`Engine::with_sim`] borrows it for one run, and [`Engine::run`] hands
+/// it back with every channel and node the run touched returned to idle,
+/// so the next run on the same network costs what that run touches, not
+/// the size of the network.  A `Sim` records the shape it was built for
+/// (nodes, channels, NI ports) and panics when it meets another; it is
+/// not a cache keyed by topology.  An engine that panics, or is dropped
+/// without running, keeps the state: the `Sim` it was lent is left empty
+/// and fails that check.  `P` is the program's payload type
+/// ([`Program::Payload`]).
+pub struct Sim<P> {
+    /// `(nodes, channels, ports)` of the network the state is sized for.
+    shape: (usize, usize, usize),
+    channels: Vec<ChanState>,
+    /// Always-on per-channel accumulators (a plain indexed add each, no
+    /// observer needed): busy cycles, blocked cycles attributed to the
+    /// channel finally acquired, and acquisition counts.  One entry per
+    /// channel the run acquired, in first-acquire order (see
+    /// `ChanState::total`); these are the channels the end-of-run checks
+    /// and the reset scan, not the network.  The list itself becomes
+    /// [`SimResult::channels`].
+    totals: Vec<(ChannelId, ChannelTelemetry)>,
+    /// Most entries a run's totals have held: the next run reserves that
+    /// much when it starts (after the caller has dropped the last result),
+    /// so the list rarely grows in the event loop.
+    totals_hint: usize,
+    /// Waiting worms as (slot, generation-at-blocking) pairs, one list per
+    /// channel that has had a waiter this run (see `ChanState::waiters`).
+    /// Lists past `waiter_lists` are spare: empty, their buffers kept.
+    waiters: Vec<Vec<(u32, u32)>>,
+    waiter_lists: usize,
+    nodes: Vec<NodeState>,
+    /// Send queues, one per node with a send waiting (see
+    /// `NodeState::queue`); a node's queue goes back to `free_queues` the
+    /// moment it empties, so only queues in use at one time hold buffers.
+    queues: Vec<VecDeque<SendReq<P>>>,
+    free_queues: Vec<u32>,
+    queue: EventQueue,
+    worms: Vec<Worm<P>>,
+    /// Slots handed out this run: a run numbers its worms from slot 0 as a
+    /// fresh slab would, reusing the earlier runs' slots (and their path
+    /// buffers) below `worms.len()`.
+    slots: usize,
+    /// Slots retired this run and available for reuse (disabled only for
+    /// sinks that retain events, so recorded worm ids stay unique — see
+    /// [`TraceSink::needs_unique_worm_ids`]).
+    free_worms: Vec<u32>,
+    /// Scratch for `candidates()` — reused across events so a steady-state
+    /// step allocates nothing.
+    cand_scratch: Vec<Hop>,
+    /// Nodes whose state changed, in first-touch order: the end-of-run
+    /// checks and the reset scan these, not the network.
+    touched_nodes: Vec<u32>,
+}
+
+impl<P> Sim<P> {
+    /// Idle state for `graph`'s network: one channel state per channel,
+    /// one CPU per node, an empty event queue.
+    #[must_use]
+    pub fn new(graph: &NetworkGraph) -> Self {
+        Sim {
+            shape: Self::shape_of(graph),
+            channels: vec![ChanState::IDLE; graph.n_channels()],
+            totals: Vec::new(),
+            totals_hint: 0,
+            waiters: Vec::new(),
+            waiter_lists: 0,
+            nodes: vec![NodeState::IDLE; graph.n_nodes()],
+            queues: Vec::new(),
+            free_queues: Vec::new(),
+            queue: EventQueue::new(),
+            worms: Vec::new(),
+            slots: 0,
+            free_worms: Vec::new(),
+            cand_scratch: Vec::new(),
+            touched_nodes: Vec::new(),
+        }
+    }
+
+    /// What an engine leaves in a borrowed `Sim` while the run holds the
+    /// real one: the state of a network with nothing in it, which
+    /// allocates nothing.
+    fn lent() -> Self {
+        Sim {
+            shape: (0, 0, 0),
+            channels: Vec::new(),
+            totals: Vec::new(),
+            totals_hint: 0,
+            waiters: Vec::new(),
+            waiter_lists: 0,
+            nodes: Vec::new(),
+            queues: Vec::new(),
+            free_queues: Vec::new(),
+            queue: EventQueue::lent(),
+            worms: Vec::new(),
+            slots: 0,
+            free_worms: Vec::new(),
+            cand_scratch: Vec::new(),
+            touched_nodes: Vec::new(),
+        }
+    }
+
+    fn shape_of(graph: &NetworkGraph) -> (usize, usize, usize) {
+        (graph.n_nodes(), graph.n_channels(), graph.ports())
+    }
+
+    /// Whether this state was built for `graph`'s shape.
+    fn fits(&self, graph: &NetworkGraph) -> bool {
+        self.shape == Self::shape_of(graph)
+    }
+
+    /// Record `n` as touched if the run is about to change it for the
+    /// first time.
+    fn touch_node(&mut self, n: NodeId) {
+        if self.nodes[n.idx()].is_pristine() {
+            self.touched_nodes.push(n.0);
+        }
+    }
+
+    /// End a run: hand the touched channels' totals out and return every
+    /// channel, node, waiter list and worm slot the run used to idle.  The
+    /// event queue is empty at the end of every run; only its cursor
+    /// rewinds.
+    fn reset(&mut self) -> ChannelTotals {
+        for &(c, _) in &self.totals {
+            self.channels[c.idx()] = ChanState::IDLE;
+        }
+        let totals = std::mem::take(&mut self.totals);
+        self.totals_hint = self.totals_hint.max(totals.len());
+        for list in &mut self.waiters[..self.waiter_lists] {
+            list.clear();
+        }
+        self.waiter_lists = 0;
+        for &n in &self.touched_nodes {
+            self.nodes[n as usize] = NodeState::IDLE;
+        }
+        self.touched_nodes.clear();
+        self.queue.rewind();
+        self.slots = 0;
+        self.free_worms.clear();
+        ChannelTotals::new(self.channels.len(), totals)
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,35 +355,16 @@ pub struct Engine<'t, Prog: Program> {
     topo: &'t dyn Topology,
     cfg: SimConfig,
     program: Prog,
-    worms: Vec<Worm<Prog::Payload>>,
-    /// Retired worm slots available for reuse (disabled only for sinks
-    /// that retain events, so recorded worm ids stay unique — see
-    /// [`TraceSink::needs_unique_worm_ids`]).
-    free_worms: Vec<u32>,
-    channels: Vec<ChanState>,
-    /// Waiting worms as (slot, generation-at-blocking) pairs, one list per
-    /// channel that has had a waiter (see `ChanState::waiters`).
-    waiters: Vec<Vec<(u32, u32)>>,
-    nodes: Vec<NodeState<Prog::Payload>>,
-    queue: EventQueue,
-    /// Scratch for `candidates()` — reused across events so a steady-state
-    /// step allocates nothing.
-    cand_scratch: Vec<Hop>,
+    /// The network-sized state, held by value for the run.
+    sim: Sim<Prog::Payload>,
+    /// Where the state goes back to when the run ends: the caller's `Sim`
+    /// ([`Engine::with_sim`]), or nowhere ([`Engine::new`]).
+    home: Option<&'t mut Sim<Prog::Payload>>,
     finish: Time,
     messages: Vec<MessageRecord>,
     blocked_cycles: Time,
     blocked_events: u64,
     channel_busy: Time,
-    /// Always-on per-channel accumulators (a plain indexed add each, no
-    /// observer needed): busy cycles, blocked cycles attributed to the
-    /// channel finally acquired, and acquisition counts.  Moved into
-    /// [`SimResult::channels`] for contention heatmaps.
-    telemetry: Vec<ChannelTelemetry>,
-    /// Channels acquired at least once and nodes that queued a send, in
-    /// first-touch order: the end-of-run checks scan these, not the
-    /// network.
-    touched_channels: Vec<u32>,
-    touched_nodes: Vec<u32>,
     acquires: u64,
     releases: u64,
     /// Releases applied as timestamps and never queued; each counts as a
@@ -233,51 +407,62 @@ impl Event {
 }
 
 impl<'t, Prog: Program> Engine<'t, Prog> {
-    /// A fresh engine over `topo` with the given configuration and program.
-    /// [`SimConfig::trace`] / [`SimConfig::trace_limit`] select the default
-    /// in-memory observer; [`Engine::set_observer`] overrides it.
+    /// A fresh engine over `topo` with the given configuration and program,
+    /// on a fresh [`Sim`] that the run drops.  [`SimConfig::trace`] /
+    /// [`SimConfig::trace_limit`] select the default in-memory observer;
+    /// [`Engine::set_observer`] overrides it.
     pub fn new(topo: &'t dyn Topology, cfg: SimConfig, program: Prog) -> Self {
-        let g = topo.graph();
+        Self::on(topo, cfg, program, Sim::new(topo.graph()), None)
+    }
+
+    /// [`Engine::new`] on `sim`, the state an earlier run on the same
+    /// network handed back: the run takes it and [`Engine::run`] returns
+    /// it to `sim`, reset.  The result is the one a fresh engine gives.
+    ///
+    /// # Panics
+    /// If `sim` was built for a network of another shape.
+    pub fn with_sim(
+        topo: &'t dyn Topology,
+        cfg: SimConfig,
+        program: Prog,
+        sim: &'t mut Sim<Prog::Payload>,
+    ) -> Self {
+        assert!(
+            sim.fits(topo.graph()),
+            "a Sim built for (nodes, channels, ports) = {:?} cannot run {}",
+            sim.shape,
+            topo.name()
+        );
+        let state = std::mem::replace(sim, Sim::lent());
+        Self::on(topo, cfg, program, state, Some(sim))
+    }
+
+    fn on(
+        topo: &'t dyn Topology,
+        cfg: SimConfig,
+        program: Prog,
+        sim: Sim<Prog::Payload>,
+        home: Option<&'t mut Sim<Prog::Payload>>,
+    ) -> Self {
         let obs = match (cfg.trace, cfg.trace_limit) {
             (false, _) => TraceSink::Null,
             (true, None) => TraceSink::memory(),
             (true, Some(limit)) => TraceSink::memory_limited(limit),
         };
+        let mut sim = sim;
+        sim.totals.reserve(sim.totals_hint);
         Self {
-            graph: g,
+            graph: topo.graph(),
             topo,
             cfg,
             program,
-            worms: Vec::new(),
-            free_worms: Vec::new(),
-            channels: (0..g.n_channels())
-                .map(|_| ChanState {
-                    at: 0,
-                    holder: FREE,
-                    waiters: NO_WAITERS,
-                    released: false,
-                    release_queued: false,
-                })
-                .collect(),
-            waiters: Vec::new(),
-            nodes: (0..g.n_nodes())
-                .map(|_| NodeState {
-                    cpu_free: 0,
-                    queue: VecDeque::new(),
-                    kick_at: None,
-                    issued: 0,
-                })
-                .collect(),
-            queue: EventQueue::new(),
-            cand_scratch: Vec::new(),
+            sim,
+            home,
             finish: 0,
             messages: Vec::new(),
             blocked_cycles: 0,
             blocked_events: 0,
             channel_busy: 0,
-            telemetry: vec![ChannelTelemetry::default(); g.n_channels()],
-            touched_channels: Vec::new(),
-            touched_nodes: Vec::new(),
             acquires: 0,
             releases: 0,
             unqueued_releases: 0,
@@ -303,12 +488,13 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     }
 
     /// Run to completion; returns the program (for inspection) and the
-    /// result.
+    /// result.  The [`Sim`] goes back, reset, to the caller that lent it
+    /// ([`Engine::with_sim`]).
     pub fn run(mut self) -> (Prog, SimResult) {
         let wall_start = std::time::Instant::now();
         let observing = self.obs.enabled();
         self.queue_every_release = self.obs.needs_unique_worm_ids();
-        while let Some((t, _ord, ev)) = self.queue.pop() {
+        while let Some((t, _ord, ev)) = self.sim.queue.pop() {
             self.finish = self.finish.max(t);
             self.events_processed += 1;
             match Event::unpack(ev) {
@@ -331,8 +517,11 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         // Always-on integrity checks: a violation is an engine bug.  They
         // scan only what the run touched — a channel never acquired cannot
         // be held, a node that never queued a send has nothing queued.
+        let sim = &self.sim;
         assert!(
-            self.worms.iter().all(|w| w.phase == Phase::Done),
+            sim.worms[..sim.slots]
+                .iter()
+                .all(|w| w.phase == Phase::Done),
             "run ended with undelivered worms (deadlock?)"
         );
         assert_eq!(
@@ -340,25 +529,24 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             "channel acquire/release imbalance"
         );
         assert!(
-            self.touched_channels.iter().all(|&c| {
-                let ch = &self.channels[c as usize];
+            sim.totals.iter().all(|&(c, _)| {
+                let ch = &sim.channels[c.idx()];
                 ch.holder == FREE || ch.released
             }),
             "run ended with held channels (leak)"
         );
-        assert!(
-            self.touched_nodes
-                .iter()
-                .all(|&n| self.nodes[n as usize].queue.is_empty()),
+        assert_eq!(
+            sim.free_queues.len(),
+            sim.queues.len(),
             "run ended with queued sends never issued"
         );
         let wall_ns = wall_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let sink = self.obs.finish();
-        // Peak heap estimate: pending events dominate, plus live worm and
-        // channel state and whatever trace the sink retained.
+        // Peak heap estimate: pending events dominate, plus this run's worm
+        // slots and the channel state, and whatever trace the sink retained.
         let peak_heap_bytes = (self.peak_heap * ENTRY_BYTES
-            + self.worms.len() * std::mem::size_of::<Worm<Prog::Payload>>()
-            + self.channels.len() * std::mem::size_of::<ChanState>()
+            + sim.slots * std::mem::size_of::<Worm<Prog::Payload>>()
+            + sim.channels.len() * std::mem::size_of::<ChanState>()
             + sink.events.len() * std::mem::size_of::<TraceEvent>())
             as u64;
         let meta = RunMeta {
@@ -375,13 +563,17 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 self.events_processed as f64 * 1e9 / wall_ns as f64
             },
         };
+        let channels = self.sim.reset();
+        if let Some(home) = self.home {
+            *home = self.sim;
+        }
         let result = SimResult {
             finish: self.finish,
             messages: self.messages,
             blocked_cycles: self.blocked_cycles,
             blocked_events: self.blocked_events,
             channel_busy_cycles: self.channel_busy,
-            channels: self.telemetry,
+            channels,
             counts: sink.counts,
             trace: sink.events,
             truncated: sink.truncated,
@@ -410,7 +602,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             Event::WormStart(w)
             | Event::HeadAdvance(w)
             | Event::RecvSoftware(w)
-            | Event::RecvDone(w) => self.worms[w as usize].rank,
+            | Event::RecvDone(w) => self.sim.worms[w as usize].rank,
         };
         debug_assert!(rank < 1 << 56, "entity rank overflows the ord layout");
         (u64::from(e.priority()) << 63) | (e.kind_rank() << 56) | rank
@@ -422,8 +614,9 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     }
 
     fn push(&mut self, t: Time, e: Event) {
-        self.queue.push(t, self.ord_of(e), e.pack());
-        self.peak_heap = self.peak_heap.max(self.queue.len());
+        let ord = self.ord_of(e);
+        self.sim.queue.push(t, ord, e.pack());
+        self.peak_heap = self.peak_heap.max(self.sim.queue.len());
     }
 
     /// Channel `c` frees at `r`: account its busy time and the release
@@ -432,20 +625,21 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     /// release in order; a waiter arriving later queues it then (see
     /// [`Engine::on_advance`]).
     fn release_at(&mut self, c: u32, r: Time) {
-        let ch = &mut self.channels[c as usize];
+        let ch = &mut self.sim.channels[c as usize];
         debug_assert!(ch.holder != FREE && !ch.released, "double release of ch{c}");
         let busy = r - ch.at;
         ch.at = r;
         ch.released = true;
         let queue = self.queue_every_release
-            || (ch.waiters != NO_WAITERS && !self.waiters[ch.waiters as usize].is_empty());
+            || (ch.waiters != NO_WAITERS && !self.sim.waiters[ch.waiters as usize].is_empty());
+        let total = ch.total as usize;
         self.channel_busy += busy;
-        self.telemetry[c as usize].busy += busy;
+        self.sim.totals[total].1.busy += busy;
         self.releases += 1;
         self.events_scheduled += 1;
         self.finish = self.finish.max(r);
         if queue {
-            self.channels[c as usize].release_queued = true;
+            self.sim.channels[c as usize].release_queued = true;
             self.push(r, Event::Release(c));
         } else {
             self.unqueued_releases += 1;
@@ -459,10 +653,16 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         for s in &sends {
             assert_ne!(s.dest, node, "node {node:?} may not send to itself");
         }
-        let ns = &mut self.nodes[node.idx()];
-        if ns.issued == 0 && ns.queue.is_empty() {
-            self.touched_nodes.push(node.0);
+        let sim = &mut self.sim;
+        sim.touch_node(node);
+        let ns = &mut sim.nodes[node.idx()];
+        if ns.queue == NO_QUEUE {
+            ns.queue = sim.free_queues.pop().unwrap_or_else(|| {
+                sim.queues.push(VecDeque::new());
+                sim.queues.len() as u32 - 1
+            });
         }
+        let queue = &mut sim.queues[ns.queue as usize];
         // Stable insert by `not_before`: a send with an earlier constraint
         // never waits behind one constrained to the far future (concurrent
         // multicasts with staggered starts share node CPUs).  Each
@@ -470,10 +670,10 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         // The queue is sorted by construction, so the insert position is a
         // binary search: first entry with a strictly later constraint.
         for s in sends {
-            let pos = ns.queue.partition_point(|q| q.not_before <= s.not_before);
-            ns.queue.insert(pos, s);
+            let pos = queue.partition_point(|q| q.not_before <= s.not_before);
+            queue.insert(pos, s);
         }
-        let head = ns.queue.front().expect("just inserted");
+        let head = queue.front().expect("just inserted");
         let want = now.max(ns.cpu_free).max(head.not_before);
         if ns.kick_at.is_none_or(|k| want < k) {
             ns.kick_at = Some(want);
@@ -482,32 +682,40 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     }
 
     fn on_kick(&mut self, node: NodeId, t: Time) {
-        let ns = &mut self.nodes[node.idx()];
+        let sim = &mut self.sim;
+        let ns = &mut sim.nodes[node.idx()];
         if ns.kick_at != Some(t) {
             return; // superseded by an earlier kick
         }
         ns.kick_at = None;
-        let Some(head) = ns.queue.front() else {
+        if ns.queue == NO_QUEUE {
             return;
-        };
+        }
+        let queue = &mut sim.queues[ns.queue as usize];
+        let head = queue
+            .front()
+            .expect("a node holds a queue only while a send waits");
         let earliest = ns.cpu_free.max(head.not_before);
         if t < earliest {
             ns.kick_at = Some(earliest);
             self.schedule(earliest, Event::NodeKick(node.0));
             return;
         }
-        let req = ns.queue.pop_front().expect("checked non-empty");
+        let req = queue.pop_front().expect("checked non-empty");
         let hold = self.cfg.software.t_hold.eval(req.bytes);
         let t_send = self.cfg.software.t_send.eval(req.bytes);
         ns.cpu_free = t + hold;
-        if let Some(next) = ns.queue.front() {
+        if let Some(next) = queue.front() {
             let at = ns.cpu_free.max(next.not_before);
             ns.kick_at = Some(at);
             self.schedule(at, Event::NodeKick(node.0));
+        } else {
+            sim.free_queues
+                .push(std::mem::replace(&mut ns.queue, NO_QUEUE));
         }
         let flits = self.cfg.flits(req.bytes);
         let issued = {
-            let ns = &mut self.nodes[node.idx()];
+            let ns = &mut self.sim.nodes[node.idx()];
             let i = ns.issued;
             ns.issued += 1;
             i
@@ -517,54 +725,48 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             "worm rank overflow: node {node:?}, issue {issued}"
         );
         let rank = (u64::from(node.0) << RANK_SHIFT) | u64::from(issued);
-        let w = if let Some(slot) = self.free_worms.pop() {
-            // Reuse a retired slot: the path Vec keeps its capacity, so
-            // steady-state worm turnover allocates nothing.
-            let worm = &mut self.worms[slot as usize];
-            worm.src = node;
-            worm.dest = req.dest;
-            worm.bytes = req.bytes;
-            worm.flits = flits;
-            worm.payload = Some(req.payload);
-            worm.path.clear();
-            worm.at = RouterId(u32::MAX);
-            worm.release_ptr = 0;
-            worm.initiated = t;
-            worm.injected = 0;
-            worm.drain_start = 0;
-            worm.tail_consumed = 0;
-            worm.blocked = 0;
-            worm.block_start = None;
-            worm.phase = Phase::Climbing;
-            worm.retry_scheduled = false;
-            worm.rank = rank;
-            slot
+        // A slot retired this run, else the run's next slot, as a fresh
+        // slab would number it.  Either way a reused slot keeps its path
+        // buffer, so steady-state worm turnover allocates nothing.
+        let sim = &mut self.sim;
+        let w = sim.free_worms.pop().unwrap_or_else(|| {
+            let w = sim.slots as u32;
+            sim.slots += 1;
+            w
+        });
+        let worm = Worm {
+            src: node,
+            dest: req.dest,
+            bytes: req.bytes,
+            flits,
+            payload: Some(req.payload),
+            path: Vec::new(),
+            at: RouterId(u32::MAX),
+            release_ptr: 0,
+            initiated: t,
+            injected: 0,
+            drain_start: 0,
+            tail_consumed: 0,
+            blocked: 0,
+            block_start: None,
+            phase: Phase::Climbing,
+            retry_scheduled: false,
+            generation: 0,
+            rank,
+        };
+        if let Some(slot) = sim.worms.get_mut(w as usize) {
+            let mut path = std::mem::take(&mut slot.path);
+            path.clear();
+            *slot = Worm {
+                path,
+                generation: slot.generation,
+                ..worm
+            };
         } else {
-            let w = self.worms.len() as u32;
             // Routes are minimal: injection, `distance` hops, consumption.
             let path = Vec::with_capacity(self.topo.distance(node, req.dest) + 2);
-            self.worms.push(Worm {
-                src: node,
-                dest: req.dest,
-                bytes: req.bytes,
-                flits,
-                payload: Some(req.payload),
-                path,
-                at: RouterId(u32::MAX),
-                release_ptr: 0,
-                initiated: t,
-                injected: 0,
-                drain_start: 0,
-                tail_consumed: 0,
-                blocked: 0,
-                block_start: None,
-                phase: Phase::Climbing,
-                retry_scheduled: false,
-                generation: 0,
-                rank,
-            });
-            w
-        };
+            sim.worms.push(Worm { path, ..worm });
+        }
         if self.obs.enabled() {
             // The send software occupies the CPU for `t_hold` from pickup;
             // the idle edge is known now, so both are emitted here.
@@ -577,7 +779,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     /// Candidate hops for the worm's next move, via the topology's
     /// closed-form routing function (one virtual call per hop).
     fn candidates(&self, w: u32, out: &mut Vec<Hop>) {
-        let worm = &self.worms[w as usize];
+        let worm = &self.sim.worms[w as usize];
         if worm.path.is_empty() {
             // All NI ports are candidates (one in the one-port
             // architecture); port choice is not subject to cfg.adaptive.
@@ -592,21 +794,21 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     }
 
     fn on_advance(&mut self, w: u32, t: Time) {
-        if self.worms[w as usize].phase != Phase::Climbing {
+        if self.sim.worms[w as usize].phase != Phase::Climbing {
             return; // stale retry
         }
-        self.worms[w as usize].retry_scheduled = false;
-        let mut cand = std::mem::take(&mut self.cand_scratch);
+        self.sim.worms[w as usize].retry_scheduled = false;
+        let mut cand = std::mem::take(&mut self.sim.cand_scratch);
         cand.clear();
         self.candidates(w, &mut cand);
         let free = cand
             .iter()
             .copied()
-            .find(|h| self.channels[h.channel.idx()].is_free(t));
+            .find(|h| self.sim.channels[h.channel.idx()].is_free(t));
         match free {
             None => {
                 // Blocked: remember when, wait on every candidate.
-                let worm = &mut self.worms[w as usize];
+                let worm = &mut self.sim.worms[w as usize];
                 let generation = worm.generation;
                 if worm.block_start.is_none() {
                     worm.block_start = Some(t);
@@ -614,12 +816,17 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                     self.obs.on_blocked(t, w, first);
                 }
                 for &Hop { channel: c, .. } in &cand {
-                    let ch = &mut self.channels[c.idx()];
+                    let sim = &mut self.sim;
+                    let ch = &mut sim.channels[c.idx()];
                     if ch.waiters == NO_WAITERS {
-                        ch.waiters = self.waiters.len() as u32;
-                        self.waiters.push(Vec::new());
+                        // The next spare list, or a new one.
+                        ch.waiters = sim.waiter_lists as u32;
+                        sim.waiter_lists += 1;
+                        if sim.waiters.len() < sim.waiter_lists {
+                            sim.waiters.push(Vec::new());
+                        }
                     }
-                    self.waiters[ch.waiters as usize].push((w, generation));
+                    sim.waiters[ch.waiters as usize].push((w, generation));
                     // A release already known but not queued (nobody waited
                     // when its time was set) must now wake this waiter at
                     // exactly `free_at`; the flag keeps one entry per release.
@@ -636,35 +843,40 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 // candidate; purge them so no candidate released later
                 // schedules a spurious same-generation retry (which would
                 // advance the worm a second time at that instant).
-                if self.worms[w as usize].block_start.is_some() {
+                if self.sim.worms[w as usize].block_start.is_some() {
                     for h in &cand {
-                        let list = self.channels[h.channel.idx()].waiters as usize;
-                        self.waiters[list].retain(|&(ww, _)| ww != w);
+                        let list = self.sim.channels[h.channel.idx()].waiters as usize;
+                        self.sim.waiters[list].retain(|&(ww, _)| ww != w);
                     }
                 }
                 self.acquire(w, hop, t);
             }
         }
-        self.cand_scratch = cand;
+        self.sim.cand_scratch = cand;
     }
 
     fn acquire(&mut self, w: u32, hop: Hop, t: Time) {
         let c = hop.channel;
         self.acquires += 1;
-        let tel = &mut self.telemetry[c.idx()];
-        if tel.acquires == 0 {
-            self.touched_channels.push(c.0);
+        let ch = &mut self.sim.channels[c.idx()];
+        debug_assert!(ch.is_free(t) && !ch.release_queued);
+        ch.holder = w;
+        ch.at = t;
+        ch.released = false;
+        if ch.total == UNTOUCHED {
+            let totals = &mut self.sim.totals;
+            if totals.len() == totals.capacity() {
+                // Past the reservation, grow by a quarter, not double: the
+                // list becomes the result, spare room and all.
+                totals.reserve_exact(totals.len() / 4 + 16);
+            }
+            ch.total = totals.len() as u32;
+            totals.push((c, ChannelTelemetry::default()));
         }
-        tel.acquires += 1;
+        let total = ch.total as usize;
+        self.sim.totals[total].1.acquires += 1;
         self.obs.on_channel_acquire(t, w, c);
-        {
-            let ch = &mut self.channels[c.idx()];
-            debug_assert!(ch.is_free(t) && !ch.release_queued);
-            ch.holder = w;
-            ch.at = t;
-            ch.released = false;
-        }
-        let worm = &mut self.worms[w as usize];
+        let worm = &mut self.sim.worms[w as usize];
         if let Some(b) = worm.block_start.take() {
             if t > b {
                 worm.blocked += t - b;
@@ -672,7 +884,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
                 self.blocked_events += 1;
                 // Attribute the wait to the channel that finally opened —
                 // the contended resource a heatmap should highlight.
-                self.telemetry[c.idx()].blocked += t - b;
+                self.sim.totals[total].1.blocked += t - b;
             }
         }
         let first_hop = worm.path.is_empty();
@@ -706,11 +918,11 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             // Head reached the consumption channel: drain.
             debug_assert_eq!(
                 self.graph.dst_node(c),
-                Some(self.worms[w as usize].dest),
+                Some(self.sim.worms[w as usize].dest),
                 "routing consumed at the wrong node"
             );
             self.obs.on_drain_start(t, w, c);
-            let worm = &mut self.worms[w as usize];
+            let worm = &mut self.sim.worms[w as usize];
             worm.phase = Phase::Draining;
             let p = worm.path.len();
             let tail_consumed = t + rd + worm.flits - 1;
@@ -721,9 +933,9 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
             // at most B flits fit in each of the (p-1-j) downstream buffers.
             let buf = self.cfg.buffer_flits.max(1);
             for j in first..p {
-                let ch = self.worms[w as usize].path[j].0;
+                let ch = self.sim.worms[w as usize].path[j].0;
                 let downstream = buf * (p - 1 - j) as Time;
-                let floor = self.channels[ch as usize].at + 1;
+                let floor = self.sim.channels[ch as usize].at + 1;
                 self.release_at(ch, tail_consumed.saturating_sub(downstream).max(floor));
             }
             self.schedule(tail_consumed, Event::RecvSoftware(w));
@@ -735,7 +947,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     /// A queued release (see [`Engine::release_at`], which already did the
     /// accounting): free the channel and wake its waiters.
     fn on_release(&mut self, c: ChannelId, t: Time) {
-        let ch = &mut self.channels[c.idx()];
+        let ch = &mut self.sim.channels[c.idx()];
         debug_assert!(
             ch.holder != FREE && ch.released && ch.at == t,
             "stray release of {c:?}"
@@ -747,9 +959,9 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         if list == NO_WAITERS {
             return; // queued for a time-ordered observer only
         }
-        let mut waiters = std::mem::take(&mut self.waiters[list as usize]);
+        let mut waiters = std::mem::take(&mut self.sim.waiters[list as usize]);
         for &(w, generation) in &waiters {
-            let worm = &mut self.worms[w as usize];
+            let worm = &mut self.sim.worms[w as usize];
             // The generation check drops entries filed by a retired
             // occupant of a reused slot; same-generation behavior is
             // exactly the old phase/retry filtering.
@@ -765,7 +977,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         // allocate in steady state.  Nothing re-files a waiter during the
         // loop — retries are scheduled as events, not run inline.
         waiters.clear();
-        self.waiters[list as usize] = waiters;
+        self.sim.waiters[list as usize] = waiters;
     }
 
     /// The tail flit is in the NI; the receive software runs as soon as the
@@ -773,9 +985,15 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     /// serialise, which is the receive-side face of the model's `t_hold`
     /// ("any two consecutive send or receive operations", §2.1).
     fn on_recv_software(&mut self, w: u32, t: Time) {
-        let dest = self.worms[w as usize].dest;
-        let t_recv = self.cfg.software.t_recv.eval(self.worms[w as usize].bytes);
-        let ns = &mut self.nodes[dest.idx()];
+        let dest = self.sim.worms[w as usize].dest;
+        let t_recv = self
+            .cfg
+            .software
+            .t_recv
+            .eval(self.sim.worms[w as usize].bytes);
+        // A receive-only leaf changes state here and nowhere else.
+        self.sim.touch_node(dest);
+        let ns = &mut self.sim.nodes[dest.idx()];
         let start = t.max(ns.cpu_free);
         ns.cpu_free = start + t_recv;
         if self.obs.enabled() {
@@ -786,7 +1004,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
     }
 
     fn on_recv_done(&mut self, w: u32, t: Time) {
-        let worm = &mut self.worms[w as usize];
+        let worm = &mut self.sim.worms[w as usize];
         debug_assert_eq!(worm.phase, Phase::Draining);
         worm.phase = Phase::Done;
         let payload = worm.payload.take().expect("payload delivered once");
@@ -810,7 +1028,7 @@ impl<'t, Prog: Program> Engine<'t, Prog> {
         // timing).
         worm.generation = worm.generation.wrapping_add(1);
         if !self.obs.needs_unique_worm_ids() {
-            self.free_worms.push(w);
+            self.sim.free_worms.push(w);
         }
         self.obs.on_recv_done(t, w, dest);
         let sends = self.program.on_receive(dest, &payload, t);
@@ -1302,7 +1520,12 @@ mod tests {
             .counts
             .expect("counters sink fills SimResult::counts");
         assert_eq!(c.recv_dones, counted.messages.len() as u64);
-        let acquires: u64 = counted.channels.iter().map(|t| t.acquires).sum();
+        let acquires: u64 = counted
+            .channels
+            .touched()
+            .iter()
+            .map(|(_, t)| t.acquires)
+            .sum();
         assert_eq!(c.acquires, acquires);
         assert_eq!(c.releases, acquires);
         assert_eq!(base.counts, None);

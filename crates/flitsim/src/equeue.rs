@@ -86,8 +86,35 @@ impl EventQueue {
         }
     }
 
+    /// A queue that holds no buffers, for a `Sim` whose state is out on
+    /// loan to a run; nothing is ever pushed onto it.
+    pub fn lent() -> Self {
+        Self {
+            slots: Box::new([]),
+            occupied: Box::new([]),
+            cursor: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            len: 0,
+            bucketed: 0,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Make an empty queue ready for a run that starts at time 0: only the
+    /// cursor moves, since popping the last event left every bucket empty;
+    /// the ring and the node pool stay.
+    ///
+    /// # Panics
+    /// If an event is still pending.
+    pub fn rewind(&mut self) {
+        assert_eq!(self.len, 0, "run ended with events still queued");
+        debug_assert!(self.bucketed == 0 && self.overflow.is_empty());
+        self.cursor = 0;
     }
 
     pub fn push(&mut self, t: Time, ord: u64, ev: u64) {

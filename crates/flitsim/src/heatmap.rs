@@ -37,16 +37,16 @@ fn endpoint(e: Endpoint) -> String {
     }
 }
 
-/// The hottest channels of a run: indices into [`SimResult::channels`]
+/// The hottest channels of a run: entries of [`SimResult::channels`]
 /// ranked by busy cycles (ties broken by blocked cycles, then id), limited
 /// to `max` and to channels that saw any traffic.
 pub fn hottest(result: &SimResult, max: usize) -> Vec<(ChannelId, ChannelTelemetry)> {
     let mut v: Vec<(ChannelId, ChannelTelemetry)> = result
         .channels
+        .touched()
         .iter()
-        .enumerate()
         .filter(|(_, c)| c.acquires > 0)
-        .map(|(i, c)| (ChannelId(i as u32), *c))
+        .copied()
         .collect();
     v.sort_by(|a, b| {
         b.1.busy
@@ -101,7 +101,12 @@ pub fn render(
         out,
         "contention heatmap: {} of {} channels with traffic, finish at cycle {}",
         hot.len(),
-        result.channels.iter().filter(|c| c.acquires > 0).count(),
+        result
+            .channels
+            .touched()
+            .iter()
+            .filter(|(_, c)| c.acquires > 0)
+            .count(),
         result.finish
     );
     if hot.is_empty() {
@@ -236,9 +241,10 @@ mod tests {
     #[test]
     fn per_channel_totals_match_run_aggregates() {
         let (r, _) = contended_run(false);
-        let busy: Time = r.channels.iter().map(|c| c.busy).sum();
-        let blocked: Time = r.channels.iter().map(|c| c.blocked).sum();
-        let acquires: u64 = r.channels.iter().map(|c| c.acquires).sum();
+        let totals = r.channels.touched();
+        let busy: Time = totals.iter().map(|(_, c)| c.busy).sum();
+        let blocked: Time = totals.iter().map(|(_, c)| c.blocked).sum();
+        let acquires: u64 = totals.iter().map(|(_, c)| c.acquires).sum();
         assert_eq!(busy, r.channel_busy_cycles);
         assert_eq!(blocked, r.blocked_cycles);
         // Every hop of every worm acquires one channel; two 2-hop-plus
@@ -251,7 +257,12 @@ mod tests {
             .iter()
             .filter(|e| e.kind == crate::trace::TraceKind::Acquire)
             .count() as u64;
-        let traced_total: u64 = traced.channels.iter().map(|c| c.acquires).sum();
+        let traced_total: u64 = traced
+            .channels
+            .touched()
+            .iter()
+            .map(|(_, c)| c.acquires)
+            .sum();
         assert_eq!(trace_acquires, traced_total);
         assert_eq!(traced_total, acquires);
     }

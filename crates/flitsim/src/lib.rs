@@ -71,10 +71,10 @@ pub mod stats;
 pub mod trace;
 
 pub use config::{SimConfig, SoftwareModel};
-pub use engine::Engine;
+pub use engine::{Engine, Sim};
 pub use obs::{EventCounts, Histogram, Metrics, Observer, PhaseBreakdown, RunMeta, TraceSink};
 pub use program::{Program, SendReq};
-pub use stats::{ChannelTelemetry, MessageRecord, SimResult};
+pub use stats::{ChannelTelemetry, ChannelTotals, MessageRecord, SimResult};
 
 /// Simulation time in cycles (shared with the `pcm` model).
 pub type Time = pcm::Time;

@@ -66,7 +66,11 @@ pub fn run_snapshot(r: &SimResult) -> TelemetrySnapshot {
         "run_channel_busy_per_channel_cycles",
         "Busy cycles per active channel",
         &telem::Histogram::from_samples(
-            r.channels.iter().filter(|c| c.acquires > 0).map(|c| c.busy),
+            r.channels
+                .touched()
+                .iter()
+                .filter(|(_, c)| c.acquires > 0)
+                .map(|(_, c)| c.busy),
         ),
     );
     if let Some(c) = &r.counts {

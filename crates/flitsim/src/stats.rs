@@ -1,8 +1,8 @@
 //! Run results and per-message records.
 
 use pcm::{MsgSize, Time};
-use serde::{Deserialize, Serialize};
-use topo::NodeId;
+use serde::{Deserialize, Serialize, Value};
+use topo::{ChannelId, NodeId};
 
 use crate::obs::{EventCounts, RunMeta};
 use crate::trace::TraceEvent;
@@ -39,10 +39,10 @@ impl MessageRecord {
     }
 }
 
-/// Per-channel contention totals, accumulated by the engine on every run
-/// (plain indexed adds — no observer required).  Indexed by
-/// [`topo::ChannelId`]; the heatmap in [`crate::heatmap`] reduces these
-/// into the hottest-channels view.
+/// One channel's contention totals, accumulated by the engine on every run
+/// (plain indexed adds — no observer required).  [`ChannelTotals`] holds
+/// them per run; the heatmap in [`crate::heatmap`] reduces those into the
+/// hottest-channels view.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelTelemetry {
     /// Cycles the channel was held.
@@ -65,6 +65,87 @@ impl ChannelTelemetry {
     }
 }
 
+/// The per-channel totals of one run: the channels it acquired, in the
+/// order it first acquired each, and the network's channel count.  Sparse
+/// in memory, so a result costs what the run touched; dense on the wire,
+/// so it serializes as one [`ChannelTelemetry`] per channel of the network
+/// in id order, zeros included, and every fingerprint reads as if the
+/// totals were a full array.  Two totals are equal when they hold the same
+/// figures for the same channels, whatever their order.
+#[derive(Debug, Clone, Default)]
+pub struct ChannelTotals {
+    n_channels: usize,
+    touched: Vec<(ChannelId, ChannelTelemetry)>,
+}
+
+impl ChannelTotals {
+    /// Totals over a network of `n_channels` channels, from the `touched`
+    /// ones (each named once).
+    pub(crate) fn new(n_channels: usize, touched: Vec<(ChannelId, ChannelTelemetry)>) -> Self {
+        debug_assert!(touched.iter().all(|(c, _)| c.idx() < n_channels));
+        ChannelTotals {
+            n_channels,
+            touched,
+        }
+    }
+
+    /// Channels of the network the run was on.
+    #[must_use]
+    pub fn n_channels(&self) -> usize {
+        self.n_channels
+    }
+
+    /// The channels the run acquired, in the order it first acquired each;
+    /// every other channel's totals are zero.
+    #[must_use]
+    pub fn touched(&self) -> &[(ChannelId, ChannelTelemetry)] {
+        &self.touched
+    }
+
+    fn by_id(&self) -> Vec<(ChannelId, ChannelTelemetry)> {
+        let mut v = self.touched.clone();
+        v.sort_unstable_by_key(|&(c, _)| c);
+        v
+    }
+}
+
+impl PartialEq for ChannelTotals {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_channels == other.n_channels
+            && self.touched.len() == other.touched.len()
+            && self.by_id() == other.by_id()
+    }
+}
+
+impl Eq for ChannelTotals {}
+
+impl Serialize for ChannelTotals {
+    fn to_value(&self) -> Value {
+        let zero = ChannelTelemetry::default().to_value();
+        let mut dense = vec![zero; self.n_channels];
+        for (c, tel) in &self.touched {
+            dense[c.idx()] = tel.to_value();
+        }
+        Value::Array(dense)
+    }
+}
+
+impl Deserialize for ChannelTotals {
+    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
+        let dense = Vec::<ChannelTelemetry>::from_value(v)?;
+        let touched = dense
+            .iter()
+            .enumerate()
+            .filter(|(_, tel)| **tel != ChannelTelemetry::default())
+            .map(|(i, tel)| (ChannelId(i as u32), *tel))
+            .collect();
+        Ok(ChannelTotals {
+            n_channels: dense.len(),
+            touched,
+        })
+    }
+}
+
 /// Aggregate result of a simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
@@ -81,9 +162,9 @@ pub struct SimResult {
     pub blocked_events: u64,
     /// Total busy channel-cycles (for utilisation analyses).
     pub channel_busy_cycles: Time,
-    /// Always-on per-channel contention totals, indexed by channel id
-    /// (present on every run; the substrate for `optmc inspect --heatmap`).
-    pub channels: Vec<ChannelTelemetry>,
+    /// Always-on per-channel contention totals (present on every run; the
+    /// substrate for `optmc inspect --heatmap`).
+    pub channels: ChannelTotals,
     /// Per-kind event tallies when the run used the counters-only observer
     /// ([`crate::TraceSink::counters`]); `None` otherwise.
     pub counts: Option<EventCounts>,

@@ -2,7 +2,9 @@
 //!
 //! The engine pre-sizes all per-run state (channel table, event-queue node
 //! pool, scratch buffers) and recycles worm slots, so once a run is warmed
-//! up, processing more events performs no further allocations.  This test
+//! up, processing more events performs no further allocations.  A run on a
+//! warm `Sim` — the state an earlier run on the network handed back —
+//! allocates nothing but its result.  This test
 //! pins that property with a counting global allocator: a long point-to-point
 //! run processes hundreds more events than a short one, yet allocates at most
 //! a handful more times (first-touch growth of the path/pool buffers), i.e.
@@ -14,8 +16,8 @@
 //! end-of-run touched lists to the same bound.
 
 use flitsim::program::SinkProgram;
-use flitsim::{Engine, SendReq, SimConfig, SoftwareModel, TraceSink};
-use topo::{Mesh, NodeId};
+use flitsim::{Engine, SendReq, Sim, SimConfig, SoftwareModel, TraceSink};
+use topo::{Mesh, NodeId, Topology};
 
 #[global_allocator]
 static COUNTER: allocmeter::Counting = allocmeter::Counting;
@@ -152,5 +154,41 @@ fn counters_observer_does_not_allocate_per_event() {
         long_allocs <= short_allocs + 24,
         "counters observer allocates per event: short {short_allocs} allocs \
          ({short_events} events), long {long_allocs} allocs ({long_events} events)"
+    );
+}
+
+#[test]
+fn a_warm_sim_allocates_only_the_result() {
+    // Once a `Sim` has run the long message, a rerun of either length
+    // allocates only for its `SimResult`: the message list and the channel
+    // totals, reserved at the longest run's size.  Nothing scales with the
+    // path or the network.
+    let _serial = MEASURE
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let m = Mesh::new(&[64]);
+    let cfg = SimConfig {
+        software: SoftwareModel::zero(),
+        ..SimConfig::paragon_like()
+    };
+    let mut sim = Sim::new(m.graph());
+    let mut run = |dst: u32| {
+        let mut e = Engine::with_sim(&m, cfg.clone(), SinkProgram, &mut sim);
+        e.start(NodeId(0), 0, vec![SendReq::to(NodeId(dst), 4096, ())]);
+        let before = allocmeter::allocations();
+        let (_, res) = e.run();
+        (
+            res.meta.events_processed,
+            allocmeter::allocations() - before,
+        )
+    };
+    let _ = run(63); // warm the Sim
+    let (short_events, short_allocs) = run(3);
+    let (long_events, long_allocs) = run(63);
+    assert!(long_events > short_events + 100);
+    assert_eq!(
+        (short_allocs, long_allocs),
+        (1, 1),
+        "a warm Sim's run allocates beyond its result ({short_events} and {long_events} events)"
     );
 }

@@ -122,29 +122,32 @@ pub fn occupancy_windows(
     let mut next_free: Vec<Option<Time>> = vec![None; k];
     next_free[schedule.src] = Some(0);
     let mut windows = Vec::new();
+    // One path buffer and one routing scratch for every send.
+    let (mut path, mut cand) = (Vec::new(), Vec::new());
     for (idx, e) in schedule.sends.iter().enumerate() {
         let t0 = next_free[e.from].expect("schedule delivers a node before it sends");
         next_free[e.from] = Some(t0 + params.t_hold);
         let inject = t0 + params.t_send;
-        let path = topo.try_det_path(chain.node(e.from), chain.node(e.to))?;
+        topo.det_path_into(chain.node(e.from), chain.node(e.to), &mut path, &mut cand)?;
         let p = path.len();
-        let acquire: Vec<Time> = (0..p).map(|i| inject + i as Time * rd).collect();
-        let tail_consumed = acquire[p - 1] + rd + params.flits - 1;
+        // The head takes path index i at `inject + i·rd`.
+        let acquire = |i: usize| inject + i as Time * rd;
+        let tail_consumed = acquire(p - 1) + rd + params.flits - 1;
         for (i, &ch) in path.iter().enumerate() {
             let release = if i + span < p {
                 // Tail leaves channel i when the head takes channel i+span.
-                acquire[i + span]
+                acquire(i + span)
             } else {
                 // Streams out during the drain; at most `buffer` flits fit
                 // in each of the (p-1-i) downstream buffers.
                 let downstream = params.buffer_flits * (p - 1 - i) as Time;
-                tail_consumed.saturating_sub(downstream).max(acquire[i] + 1)
+                tail_consumed.saturating_sub(downstream).max(acquire(i) + 1)
             };
             windows.push(ChannelWindow {
                 mcast: 0,
                 send: idx,
                 channel: ch,
-                acquire: acquire[i],
+                acquire: acquire(i),
                 release,
             });
         }

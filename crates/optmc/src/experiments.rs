@@ -6,7 +6,7 @@
 //! data point ... is the average of the multicast latency from all 16
 //! experiments."
 
-use flitsim::SimConfig;
+use flitsim::{Sim, SimConfig};
 use pcm::{MsgSize, Time};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use topo::{NodeId, Topology};
 
 use crate::algorithm::Algorithm;
-use crate::runner::run_multicast;
+use crate::runner::run_multicast_on;
 
 // ---------------------------------------------------------------------------
 // Seed derivation.
@@ -162,7 +162,9 @@ pub struct TrialOutcome {
 ///
 /// `workers` caps the scoped worker threads trials run on; `0` means one
 /// per available core.  The result is identical for any worker count
-/// (results land in fixed per-trial slots).
+/// (results land in fixed per-trial slots).  Each worker keeps one
+/// [`Sim`] across its trials, so only the first trial sizes state by the
+/// network.
 #[allow(clippy::too_many_arguments)]
 pub fn run_trials_detailed(
     topo: &dyn Topology,
@@ -176,11 +178,11 @@ pub fn run_trials_detailed(
 ) -> Vec<TrialOutcome> {
     assert!(trials >= 1);
     let stream = placement_stream(&topo.name(), k);
-    let one = |t: usize| {
+    let one = |sim: &mut Sim<_>, t: usize| {
         let placement_seed = trial_seed(seed, stream, t);
         let placement = random_placement(topo.graph().n_nodes(), k, placement_seed);
         let src = placement[0];
-        let out = run_multicast(topo, cfg, algorithm, &placement, src, bytes);
+        let out = run_multicast_on(sim, topo, cfg, algorithm, &placement, src, bytes);
         TrialOutcome {
             trial: t,
             placement_seed,
@@ -199,7 +201,8 @@ pub fn run_trials_detailed(
     }
     .min(trials);
     if workers <= 1 {
-        return (0..trials).map(one).collect();
+        let mut sim = Sim::new(topo.graph());
+        return (0..trials).map(|t| one(&mut sim, t)).collect();
     }
     // Static block partition: worker w takes trials [lo, hi); results land
     // in a fixed slot per trial, so aggregation order is stable.
@@ -221,8 +224,9 @@ pub fn run_trials_detailed(
         for (w, slots) in results.chunks_mut(chunk).enumerate() {
             let one = &one;
             scope.spawn(move || {
+                let mut sim = Sim::new(topo.graph());
                 for (i, slot) in slots.iter_mut().enumerate() {
-                    *slot = one(w * chunk + i);
+                    *slot = one(&mut sim, w * chunk + i);
                 }
             });
         }

@@ -76,8 +76,8 @@ pub use experiments::{
 };
 pub use gather::{run_gather, GatherOutcome};
 pub use runner::{
-    run_multicast, run_multicast_observed, run_multicast_opts, run_multicast_with, RunOptions,
-    RunOutcome,
+    run_multicast, run_multicast_observed, run_multicast_on, run_multicast_opts,
+    run_multicast_with, RunOptions, RunOutcome,
 };
 pub use scatter::{run_scatter, ScatterOutcome};
 pub use temporal::{temporal_schedule, TemporalSchedule};

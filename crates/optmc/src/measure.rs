@@ -9,7 +9,7 @@
 //! [`SimConfig::effective_pair`].
 
 use flitsim::program::SinkProgram;
-use flitsim::{Engine, SendReq, SimConfig};
+use flitsim::{Engine, SendReq, Sim, SimConfig};
 use pcm::calibrate::{fit_linear, Sample};
 use pcm::{LinearFn, MsgSize, Time};
 use topo::{NodeId, Topology};
@@ -23,7 +23,18 @@ pub fn measure_t_end(
     dst: NodeId,
     bytes: MsgSize,
 ) -> Time {
-    let mut e = Engine::new(topo, cfg.clone(), SinkProgram);
+    t_end_on(&mut Sim::new(topo.graph()), topo, cfg, src, dst, bytes)
+}
+
+fn t_end_on(
+    sim: &mut Sim<()>,
+    topo: &dyn Topology,
+    cfg: &SimConfig,
+    src: NodeId,
+    dst: NodeId,
+    bytes: MsgSize,
+) -> Time {
+    let mut e = Engine::with_sim(topo, cfg.clone(), SinkProgram, sim);
     e.start(src, 0, vec![SendReq::to(dst, bytes, ())]);
     let (_, r) = e.run();
     r.messages[0].latency()
@@ -40,8 +51,20 @@ pub fn measure_t_hold(
     bytes: MsgSize,
     n: usize,
 ) -> Time {
+    t_hold_on(&mut Sim::new(topo.graph()), topo, cfg, src, dst, bytes, n)
+}
+
+fn t_hold_on(
+    sim: &mut Sim<()>,
+    topo: &dyn Topology,
+    cfg: &SimConfig,
+    src: NodeId,
+    dst: NodeId,
+    bytes: MsgSize,
+    n: usize,
+) -> Time {
     assert!(n >= 2, "a burst needs at least two sends");
-    let mut e = Engine::new(topo, cfg.clone(), SinkProgram);
+    let mut e = Engine::with_sim(topo, cfg.clone(), SinkProgram, sim);
     let sends = vec![SendReq::to(dst, bytes, ()); n];
     e.start(src, 0, sends);
     let (_, r) = e.run();
@@ -51,7 +74,8 @@ pub fn measure_t_hold(
 }
 
 /// Calibrated affine fits of `t_hold(m)` and `t_end(m)` over a size sweep —
-/// the full user-level methodology.
+/// the full user-level methodology.  Every measurement of the sweep runs
+/// on one [`Sim`].
 pub fn calibrate(
     topo: &dyn Topology,
     cfg: &SimConfig,
@@ -59,13 +83,14 @@ pub fn calibrate(
     dst: NodeId,
     sizes: &[MsgSize],
 ) -> (LinearFn, LinearFn) {
+    let mut sim = Sim::new(topo.graph());
     let hold_samples: Vec<Sample> = sizes
         .iter()
-        .map(|&m| Sample::new(m, measure_t_hold(topo, cfg, src, dst, m, 8)))
+        .map(|&m| Sample::new(m, t_hold_on(&mut sim, topo, cfg, src, dst, m, 8)))
         .collect();
     let end_samples: Vec<Sample> = sizes
         .iter()
-        .map(|&m| Sample::new(m, measure_t_end(topo, cfg, src, dst, m)))
+        .map(|&m| Sample::new(m, t_end_on(&mut sim, topo, cfg, src, dst, m)))
         .collect();
     let hold = fit_linear(&hold_samples).expect("two or more distinct sizes");
     let end = fit_linear(&end_samples).expect("two or more distinct sizes");

@@ -1,12 +1,12 @@
 //! One multicast experiment, end to end.
 
-use flitsim::{Engine, SimConfig, SimResult, TraceSink};
+use flitsim::{Engine, Sim, SimConfig, SimResult, TraceSink};
 use mtree::Schedule;
 use pcm::{MsgSize, Time};
 use topo::{NodeId, Topology};
 
 use crate::algorithm::Algorithm;
-use crate::program::McastProgram;
+use crate::program::{McastProgram, Range};
 
 /// Everything one run produces.
 #[derive(Debug)]
@@ -160,6 +160,63 @@ pub fn run_multicast_observed(
     opts: &RunOptions,
     observer: Option<TraceSink>,
 ) -> RunOutcome {
+    let mut sim = Sim::new(topo.graph());
+    run_on(
+        &mut sim,
+        topo,
+        cfg,
+        algorithm,
+        participants,
+        src,
+        bytes,
+        opts,
+        observer,
+    )
+}
+
+/// [`run_multicast`] on `sim`, the simulator state an earlier run on the
+/// same network handed back (see [`flitsim::Sim`]): the same outcome as a
+/// fresh engine gives, without allocating or clearing anything sized by
+/// the network.  Callers that simulate many multicasts on one topology
+/// keep one `Sim` across them.
+///
+/// # Panics
+/// As [`run_multicast`], and if `sim` was built for a network of another
+/// shape.
+pub fn run_multicast_on(
+    sim: &mut Sim<Range>,
+    topo: &dyn Topology,
+    cfg: &SimConfig,
+    algorithm: Algorithm,
+    participants: &[NodeId],
+    src: NodeId,
+    bytes: MsgSize,
+) -> RunOutcome {
+    run_on(
+        sim,
+        topo,
+        cfg,
+        algorithm,
+        participants,
+        src,
+        bytes,
+        &RunOptions::default(),
+        None,
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_on(
+    sim: &mut Sim<Range>,
+    topo: &dyn Topology,
+    cfg: &SimConfig,
+    algorithm: Algorithm,
+    participants: &[NodeId],
+    src: NodeId,
+    bytes: MsgSize,
+    opts: &RunOptions,
+    observer: Option<TraceSink>,
+) -> RunOutcome {
     let temporal = opts.temporal;
     let k = participants.len();
     let hops = nominal_hops(topo, participants, src);
@@ -191,7 +248,7 @@ pub fn run_multicast_observed(
     }
     let root = program.root();
     let first = program.root_sends();
-    let mut engine = Engine::new(topo, cfg.clone(), program);
+    let mut engine = Engine::with_sim(topo, cfg.clone(), program, sim);
     if let Some(sink) = observer {
         engine.set_observer(sink);
     }

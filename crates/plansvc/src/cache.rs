@@ -1,11 +1,13 @@
 //! The content-addressed plan cache.
 //!
-//! Bounded capacity with **deterministic LRU-by-sequence eviction**: every
-//! access stamps the entry with a monotonically increasing sequence
-//! number, and insertion into a full cache evicts the entry with the
-//! smallest stamp.  Stamps are unique, so the victim is always unique —
+//! Bounded capacity with **deterministic LRU eviction**: every access moves
+//! its entry to the most-recently-used end of a list threaded through the
+//! entries, and insertion into a full cache evicts the entry at the other
+//! end — the one whose last access is oldest, as the smallest of a stamp
+//! taken on every access would name it.  The victim is always unique, and
 //! the eviction order is a pure function of the access history, never of
-//! hash-map iteration order or wall-clock time.
+//! hash-map iteration order or wall-clock time.  Finding it, and dropping
+//! its key and alias, is O(1).
 //!
 //! An entry is only the tail of its responses, `"key":…,"plan":…`: the
 //! JSON-escaped key and the plan's compact JSON
@@ -15,50 +17,150 @@
 //!
 //! Entries are found by their member-list key or through an **alias**, the
 //! seeded form of a request that drew those members.  An entry has at most
-//! one alias, so there are never more aliases than plans; an alias holds
-//! one seeded key and the entry's slot, and is dropped with its entry.
+//! one alias, so there are never more aliases than plans; an alias is
+//! dropped with its entry.
+//!
+//! Each key is held once, by its entry; the two maps go from a key's
+//! 64-bit digest to the slot, and a lookup checks the entry's own key.  A
+//! digest names at most one entry: should two keys share one, the later
+//! takes the map over and the earlier is found by no lookup until it is
+//! evicted — a lost hit, never a wrong plan.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 
 use crate::request::SeededKey;
 
+/// The end of the recency list.
+const NIL: usize = usize::MAX;
+
+/// A key's digest in the cache's maps: SipHash with fixed keys, so a
+/// replay keys the maps, and so answers, identically.
+fn digest(key: &(impl Hash + ?Sized)) -> u64 {
+    let mut h = DefaultHasher::new();
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// A map from digests to slots.  A digest is already a hash, so the map
+/// uses it as is instead of hashing it again.
+type DigestMap = HashMap<u64, usize, BuildHasherDefault<Digested>>;
+
+/// The [`Hasher`] of a [`DigestMap`]: passes its one `u64` through.
+#[derive(Default)]
+struct Digested(u64);
+
+impl Hasher for Digested {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a digest map hashes only u64 digests");
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
+
 struct Entry {
+    /// The member-list key, with its digest.
+    key: String,
+    key_digest: u64,
     tail: String,
-    last_used: u64,
-    /// Whether an alias points at this entry.
-    aliased: bool,
+    /// The seeded key an alias finds the entry by, with its digest.
+    alias: Option<(SeededKey, u64)>,
+    /// The next less recently used entry, or [`NIL`].
+    older: usize,
+    /// The next more recently used entry, or [`NIL`].
+    newer: usize,
 }
 
 /// A bounded LRU cache from request keys to rendered response tails.
 pub struct PlanCache {
     capacity: usize,
-    seq: u64,
     /// Built by the first insert: an empty cache holds no tables, so a
     /// new engine costs no more to build than with the one map it had
     /// before aliases.
     tables: Option<Box<Tables>>,
 }
 
-#[derive(Default)]
 struct Tables {
-    /// Member-list key → slot in `entries`.
-    index: HashMap<String, usize>,
-    /// Seeded key → slot in `entries`.
-    aliases: HashMap<SeededKey, usize>,
+    /// Member-list key digest → slot in `entries`.
+    index: DigestMap,
+    /// Seeded key digest → slot in `entries`.
+    aliases: DigestMap,
     entries: Vec<Entry>,
+    /// The least and the most recently used entries, or [`NIL`].
+    oldest: usize,
+    newest: usize,
+}
+
+impl Default for Tables {
+    fn default() -> Self {
+        Tables {
+            index: DigestMap::default(),
+            aliases: DigestMap::default(),
+            entries: Vec::new(),
+            oldest: NIL,
+            newest: NIL,
+        }
+    }
 }
 
 impl Tables {
-    fn touch(&mut self, slot: usize, seq: u64) -> &str {
-        let e = &mut self.entries[slot];
-        e.last_used = seq;
-        &e.tail
+    /// The slot holding `key`, whose digest is `d`.
+    fn find(&self, key: &str, d: u64) -> Option<usize> {
+        let slot = *self.index.get(&d)?;
+        (self.entries[slot].key == key).then_some(slot)
+    }
+
+    /// Take `slot` out of the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Entry { older, newer, .. } = self.entries[slot];
+        match older {
+            NIL => self.oldest = newer,
+            o => self.entries[o].newer = newer,
+        }
+        match newer {
+            NIL => self.newest = older,
+            n => self.entries[n].older = older,
+        }
+    }
+
+    /// Put `slot` at the most recently used end of the list.
+    fn push_newest(&mut self, slot: usize) {
+        self.entries[slot].older = self.newest;
+        self.entries[slot].newer = NIL;
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.entries[n].newer = slot,
+        }
+        self.newest = slot;
+    }
+
+    fn touch(&mut self, slot: usize) -> &str {
+        if self.newest != slot {
+            self.unlink(slot);
+            self.push_newest(slot);
+        }
+        &self.entries[slot].tail
     }
 
     fn unalias(&mut self, slot: usize) {
-        if std::mem::take(&mut self.entries[slot].aliased) {
-            self.aliases.retain(|_, s| *s != slot);
+        if let Some((_, d)) = self.entries[slot].alias.take() {
+            if self.aliases.get(&d) == Some(&slot) {
+                self.aliases.remove(&d);
+            }
         }
+    }
+
+    fn set_alias(&mut self, slot: usize, alias: SeededKey) {
+        self.unalias(slot);
+        let d = digest(&alias);
+        self.aliases.insert(d, slot);
+        self.entries[slot].alias = Some((alias, d));
     }
 }
 
@@ -68,26 +170,24 @@ impl PlanCache {
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             capacity: capacity.max(1),
-            seq: 0,
             tables: None,
         }
     }
 
     /// Look up a response tail by key, refreshing its recency on a hit.
     pub fn get(&mut self, key: &str) -> Option<&str> {
-        self.seq += 1;
         let t = self.tables.as_deref_mut()?;
-        let slot = *t.index.get(key)?;
-        Some(t.touch(slot, self.seq))
+        let slot = t.find(key, digest(key))?;
+        Some(t.touch(slot))
     }
 
     /// Look up a response tail by the seeded form of a request, refreshing
     /// its recency on a hit like [`PlanCache::get`].
     pub(crate) fn get_alias(&mut self, alias: &SeededKey) -> Option<&str> {
-        self.seq += 1;
         let t = self.tables.as_deref_mut()?;
-        let slot = *t.aliases.get(alias)?;
-        Some(t.touch(slot, self.seq))
+        let slot = *t.aliases.get(&digest(alias))?;
+        let aliased = t.entries[slot].alias.as_ref().map(|(a, _)| a);
+        (aliased == Some(alias)).then(|| t.touch(slot))
     }
 
     /// Make `alias` the one alias of the entry cached under `key`, if
@@ -96,52 +196,68 @@ impl PlanCache {
         let Some(t) = self.tables.as_deref_mut() else {
             return;
         };
-        let Some(&slot) = t.index.get(key) else {
-            return;
-        };
-        t.unalias(slot);
-        t.entries[slot].aliased = true;
-        t.aliases.insert(alias, slot);
+        if let Some(slot) = t.find(key, digest(key)) {
+            t.set_alias(slot, alias);
+        }
     }
 
     /// Insert a response tail, evicting the least-recently-used entry (and
     /// its alias) when full.  Returns the evicted key, if any.
     pub fn insert(&mut self, key: String, tail: String) -> Option<String> {
-        self.seq += 1;
-        let fresh = Entry {
-            tail,
-            last_used: self.seq,
-            aliased: false,
-        };
+        self.insert_aliased(key, tail, None)
+    }
+
+    /// [`PlanCache::insert`], then [`PlanCache::alias`] the entry if
+    /// `alias` is given.
+    pub(crate) fn insert_aliased(
+        &mut self,
+        key: String,
+        tail: String,
+        alias: Option<SeededKey>,
+    ) -> Option<String> {
         let t = self.tables.get_or_insert_with(Box::default);
-        if let Some(&slot) = t.index.get(&key) {
+        let d = digest(key.as_str());
+        let (slot, evicted) = if let Some(slot) = t.find(&key, d) {
             // Re-insertion of a live key refreshes it in place.
-            t.entries[slot].tail = fresh.tail;
-            t.entries[slot].last_used = fresh.last_used;
-            return None;
+            t.entries[slot].tail = tail;
+            t.touch(slot);
+            (slot, None)
+        } else {
+            let fresh = Entry {
+                key,
+                key_digest: d,
+                tail,
+                alias: None,
+                older: NIL,
+                newer: NIL,
+            };
+            let (slot, evicted) = if t.entries.len() < self.capacity {
+                t.entries.push(fresh);
+                (t.entries.len() - 1, None)
+            } else {
+                let slot = t.oldest;
+                t.unlink(slot);
+                t.unalias(slot);
+                let victim = std::mem::replace(&mut t.entries[slot], fresh);
+                if t.index.get(&victim.key_digest) == Some(&slot) {
+                    t.index.remove(&victim.key_digest);
+                }
+                (slot, Some(victim.key))
+            };
+            t.index.insert(d, slot);
+            t.push_newest(slot);
+            (slot, evicted)
+        };
+        if let Some(alias) = alias {
+            t.set_alias(slot, alias);
         }
-        if t.index.len() < self.capacity {
-            t.index.insert(key, t.entries.len());
-            t.entries.push(fresh);
-            return None;
-        }
-        let (victim, slot) = t
-            .index
-            .iter()
-            .min_by_key(|(_, &s)| t.entries[s].last_used)
-            .map(|(k, &s)| (k.clone(), s))
-            .expect("cache is non-empty when full");
-        t.index.remove(&victim);
-        t.unalias(slot);
-        t.entries[slot] = fresh;
-        t.index.insert(key, slot);
-        Some(victim)
+        evicted
     }
 
     /// Number of plans held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tables.as_ref().map_or(0, |t| t.index.len())
+        self.tables.as_ref().map_or(0, |t| t.entries.len())
     }
 
     /// True when no plans are held.

@@ -266,11 +266,8 @@ impl Engine {
                     let line = response_line(w.echo.as_ref(), false, &tail);
                     self.respond(w.id, line);
                 }
-                if self.cache.insert(key.clone(), tail).is_some() {
+                if self.cache.insert_aliased(key, tail, alias).is_some() {
                     self.stats.evictions += 1;
-                }
-                if let Some(alias) = alias {
-                    self.cache.alias(&key, alias);
                 }
             }
             Err(message) => {

@@ -114,21 +114,37 @@ pub trait Topology: Send + Sync {
     /// analysis (`netcheck`) reports these as diagnostics instead of
     /// aborting.
     fn try_det_path(&self, src: NodeId, dst: NodeId) -> Result<Vec<ChannelId>, RoutingError> {
+        let mut path = Vec::new();
+        self.det_path_into(src, dst, &mut path, &mut Vec::new())?;
+        Ok(path)
+    }
+
+    /// [`Topology::try_det_path`] into `path`, with `cand` as the routing
+    /// scratch: both are cleared first and keep their buffers, so a caller
+    /// walking many paths allocates nothing once they are large enough.
+    /// On an error `path` holds the walk up to the failure.
+    fn det_path_into(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        path: &mut Vec<ChannelId>,
+        cand: &mut Vec<Hop>,
+    ) -> Result<(), RoutingError> {
+        path.clear();
         if src == dst {
             return Err(RoutingError::SelfRoute { node: src });
         }
         let g = self.graph();
-        let mut path = vec![g.injection(src)];
+        path.push(g.injection(src));
         let mut at = g
             .injection_hops(src)
             .next()
             .and_then(|h| h.next)
             .expect("injection leads to a router");
-        let mut cand = Vec::new();
         // A worm never needs more hops than channels exist.
         for _ in 0..=g.n_channels() {
             cand.clear();
-            self.route_candidates(at, src, dst, &mut cand);
+            self.route_candidates(at, src, dst, cand);
             let Some(&hop) = cand.first() else {
                 return Err(RoutingError::NoCandidate { at, src, dst });
             };
@@ -143,7 +159,7 @@ pub trait Topology: Send + Sync {
                             reached: g.dst_node(hop.channel),
                         });
                     }
-                    return Ok(path);
+                    return Ok(());
                 }
             }
         }

@@ -74,9 +74,11 @@ cargo run --release -q -p optmc-cli --bin optmc -- \
 
 # Hot-path allocation gate: the zero_alloc suite pins that steady-state
 # event processing — including the counters-only observer — adds no
-# per-event heap allocations.
-echo "==> zero-allocation hot path (allocmeter, Null + counters observers)"
-cargo test -q -p flitsim --test zero_alloc
+# per-event heap allocations, and that a run on a warm Sim allocates only
+# its result; reuse_allocations pins that a warm one-message run on
+# mesh:256x256 allocates under 64 KiB (a fresh engine: about 23 MB).
+echo "==> zero-allocation hot path (allocmeter: Null + counters observers, warm Sim)"
+cargo test -q -p flitsim --test zero_alloc --test reuse_allocations
 
 # Observer-overhead gate: the counters-only sink must keep at least 0.95x
 # the Null observer's throughput on the interleaved mesh16 pair.  The run
